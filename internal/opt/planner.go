@@ -74,11 +74,16 @@ func NewPlanner(cfg PlannerConfig) *Planner {
 // the package-level rules plus, when statistics are enabled, the
 // conjunct reorder rule (cheapest-most-selective-first filters).
 func (pl *Planner) Optimize(n plan.Node) (plan.Node, error) {
+	return optimizeWith(n, pl.rules())
+}
+
+// rules is the planner's logical rule batch.
+func (pl *Planner) rules() []Rule {
 	rules := DefaultRules()
 	if !pl.cfg.DisableStats {
 		rules = append(rules, Rule{Name: "ReorderFilterConjuncts", Apply: reorderFilterConjuncts})
 	}
-	return optimizeWith(n, rules)
+	return rules
 }
 
 // Plan lowers an analyzed, optimized logical plan and — unless disabled —

@@ -33,7 +33,9 @@ func Optimize(n plan.Node) (plan.Node, error) {
 	return optimizeWith(n, DefaultRules())
 }
 
-// optimizeWith runs a rule batch to a bounded fixpoint.
+// optimizeWith runs a rule batch to a bounded fixpoint. A rule that
+// changes nothing must return its input node: the loop detects change by
+// node identity, not by comparing rendered trees.
 func optimizeWith(n plan.Node, rules []Rule) (plan.Node, error) {
 	for iter := 0; iter < 8; iter++ {
 		changed := false
@@ -42,7 +44,7 @@ func optimizeWith(n plan.Node, rules []Rule) (plan.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			if plan.TreeString(out) != plan.TreeString(n) {
+			if out != n {
 				changed = true
 			}
 			n = out
@@ -161,52 +163,75 @@ func unwrapBound(e expr.Expr) *expr.Bound {
 
 // pushFilterIntoJoin moves single-side conjuncts of a filter above a join
 // into the corresponding join input (inner joins; left side only for left
-// outer joins).
+// outer joins). A pushed conjunct merges into a filter already on that
+// input and keeps descending through nested joins, so one application
+// moves every conjunct as far down as it can go.
 func pushFilterIntoJoin(n plan.Node) (plan.Node, error) {
 	return plan.Transform(n, func(node plan.Node) (plan.Node, error) {
 		f, ok := node.(*plan.Filter)
 		if !ok {
 			return node, nil
 		}
-		j, ok := f.Child.(*plan.Join)
-		if !ok {
-			return node, nil
-		}
-		leftLen := j.Left.Schema().Len()
-		var leftConj, rightConj, keep []expr.Expr
-		for _, c := range expr.SplitConjunction(f.Cond) {
-			lo, hi := ordinalRange(c)
-			switch {
-			case lo < 0:
-				keep = append(keep, c) // no column refs; leave in place
-			case hi < leftLen:
-				leftConj = append(leftConj, c)
-			case lo >= leftLen && j.Type == plan.InnerJoin:
-				shifted, err := expr.Shift(c, -leftLen)
-				if err != nil {
-					return nil, err
-				}
-				rightConj = append(rightConj, shifted)
-			default:
-				keep = append(keep, c)
-			}
-		}
-		if len(leftConj) == 0 && len(rightConj) == 0 {
-			return node, nil
-		}
-		left, right := j.Left, j.Right
-		if len(leftConj) > 0 {
-			left = plan.NewFilter(expr.JoinConjuncts(leftConj), left)
-		}
-		if len(rightConj) > 0 {
-			right = plan.NewFilter(expr.JoinConjuncts(rightConj), right)
-		}
-		var out plan.Node = plan.NewJoin(j.Type, left, right, j.Cond)
-		if len(keep) > 0 {
-			out = plan.NewFilter(expr.JoinConjuncts(keep), out)
-		}
-		return out, nil
+		return pushIntoJoin(f)
 	})
+}
+
+// pushIntoJoin pushes f's single-side conjuncts into the join below it,
+// returning f itself when f is not over a join or nothing moves.
+func pushIntoJoin(f *plan.Filter) (plan.Node, error) {
+	j, ok := f.Child.(*plan.Join)
+	if !ok {
+		return f, nil
+	}
+	leftLen := j.Left.Schema().Len()
+	var leftConj, rightConj, keep []expr.Expr
+	for _, c := range expr.SplitConjunction(f.Cond) {
+		lo, hi := ordinalRange(c)
+		switch {
+		case lo < 0:
+			keep = append(keep, c) // no column refs; leave in place
+		case hi < leftLen:
+			leftConj = append(leftConj, c)
+		case lo >= leftLen && j.Type == plan.InnerJoin:
+			shifted, err := expr.Shift(c, -leftLen)
+			if err != nil {
+				return nil, err
+			}
+			rightConj = append(rightConj, shifted)
+		default:
+			keep = append(keep, c)
+		}
+	}
+	if len(leftConj) == 0 && len(rightConj) == 0 {
+		return f, nil
+	}
+	left, right := j.Left, j.Right
+	var err error
+	if len(leftConj) > 0 {
+		if left, err = pushedFilter(expr.JoinConjuncts(leftConj), left); err != nil {
+			return nil, err
+		}
+	}
+	if len(rightConj) > 0 {
+		if right, err = pushedFilter(expr.JoinConjuncts(rightConj), right); err != nil {
+			return nil, err
+		}
+	}
+	var out plan.Node = plan.NewJoin(j.Type, left, right, j.Cond)
+	if len(keep) > 0 {
+		out = plan.NewFilter(expr.JoinConjuncts(keep), out)
+	}
+	return out, nil
+}
+
+// pushedFilter places cond over child the way CombineFilters and a
+// further PushFilterIntoJoin would: merged after an existing filter's
+// condition, then pushed on into a join below.
+func pushedFilter(cond expr.Expr, child plan.Node) (plan.Node, error) {
+	if inner, ok := child.(*plan.Filter); ok {
+		cond, child = expr.And(inner.Cond, cond), inner.Child
+	}
+	return pushIntoJoin(plan.NewFilter(cond, child))
 }
 
 // ordinalRange returns the min and max bound ordinals in e, or (-1, -1).

@@ -53,20 +53,22 @@ type Node interface {
 // Relation scans a catalog table. Alias qualifies the output columns
 // (defaulting to the table name) so joins can disambiguate.
 type Relation struct {
-	Table catalog.Table
-	Alias string
+	Table  catalog.Table
+	Alias  string
+	schema *sqltypes.Schema
 }
 
-// NewRelation builds a relation node.
+// NewRelation builds a relation node. Catalog table schemas are
+// immutable, so the alias-qualified schema is computed once here.
 func NewRelation(t catalog.Table, alias string) *Relation {
 	if alias == "" {
 		alias = t.Name()
 	}
-	return &Relation{Table: t, Alias: alias}
+	return &Relation{Table: t, Alias: alias, schema: t.Schema().Qualify(alias)}
 }
 
 // Schema implements Node; columns are qualified by the alias.
-func (r *Relation) Schema() *sqltypes.Schema { return r.Table.Schema().Qualify(r.Alias) }
+func (r *Relation) Schema() *sqltypes.Schema { return r.schema }
 
 // Children implements Node.
 func (r *Relation) Children() []Node { return nil }

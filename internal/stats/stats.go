@@ -169,6 +169,9 @@ type Table struct {
 	cols    []colAcc
 	valid   bool
 	version int64 // bumped on every Observe/Invalidate/Rebuild
+
+	snap    []*ColumnStats // Snapshot memo, current while snapVer == version
+	snapVer int64
 }
 
 // NewTable returns an empty, valid statistics accumulator for a table
@@ -260,7 +263,9 @@ func (t *Table) Version() int64 {
 }
 
 // Snapshot returns per-column statistics, or nil when the accumulator
-// is stale (a delete occurred since the last Rebuild) or t is nil.
+// is stale (a delete occurred since the last Rebuild) or t is nil. The
+// result is memoized until the next mutation, so callers share it: the
+// returned slice and its ColumnStats are read-only.
 func (t *Table) Snapshot() []*ColumnStats {
 	if t == nil {
 		return nil
@@ -269,6 +274,9 @@ func (t *Table) Snapshot() []*ColumnStats {
 	defer t.mu.Unlock()
 	if !t.valid {
 		return nil
+	}
+	if t.snap != nil && t.snapVer == t.version {
+		return t.snap
 	}
 	out := make([]*ColumnStats, len(t.cols))
 	for i := range t.cols {
@@ -288,6 +296,7 @@ func (t *Table) Snapshot() []*ColumnStats {
 		}
 		out[i] = cs
 	}
+	t.snap, t.snapVer = out, t.version
 	return out
 }
 

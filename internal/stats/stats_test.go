@@ -141,6 +141,75 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 }
 
+func TestSnapshotMemoized(t *testing.T) {
+	tbl := NewTable(1)
+	tbl.Observe([]sqltypes.Row{{sqltypes.NewInt64(1)}, {sqltypes.NewInt64(2)}})
+	first := tbl.Snapshot()
+	if again := tbl.Snapshot(); &again[0] != &first[0] {
+		t.Fatal("two snapshots with no mutation between them returned different slices")
+	}
+
+	tbl.Observe([]sqltypes.Row{{sqltypes.NewInt64(9)}})
+	cols := tbl.Snapshot()
+	if &cols[0] == &first[0] {
+		t.Fatal("snapshot not refreshed after Observe")
+	}
+	if cols[0].Count != 3 || cols[0].Max.I != 9 || cols[0].NDV != 3 {
+		t.Fatalf("after Observe: count %d max %v ndv %d, want 3, 9, 3", cols[0].Count, cols[0].Max, cols[0].NDV)
+	}
+	if first[0].Count != 2 || first[0].Max.I != 2 {
+		t.Fatalf("earlier snapshot changed under a later Observe: %+v", first[0])
+	}
+
+	tbl.Invalidate()
+	if tbl.Snapshot() != nil {
+		t.Fatal("snapshot not nil after Invalidate")
+	}
+	tbl.Rebuild([]sqltypes.Row{{sqltypes.NewInt64(5)}})
+	cols = tbl.Snapshot()
+	if cols == nil || cols[0].Count != 1 || cols[0].Min.I != 5 || cols[0].Max.I != 5 {
+		t.Fatalf("after Rebuild: snapshot %+v, want one row of 5", cols)
+	}
+	tbl.Rebuild(nil)
+	if cols = tbl.Snapshot(); cols == nil || cols[0].Count != 0 || !cols[0].Min.IsNull() {
+		t.Fatalf("after empty Rebuild: snapshot %+v, want an empty column", cols)
+	}
+}
+
+func TestConcurrentObserveSnapshot(t *testing.T) {
+	tbl := NewTable(2)
+	done := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		go func(g int) {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < 500; i++ {
+				v := sqltypes.NewInt64(int64(g*1000 + i))
+				tbl.Observe([]sqltypes.Row{{v, v}})
+			}
+		}(g)
+	}
+	for g := 0; g < 2; g++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			var last int64
+			for i := 0; i < 500; i++ {
+				cols := tbl.Snapshot()
+				if cols[0].Count < last || cols[1].Count != cols[0].Count {
+					t.Errorf("snapshot count %d/%d after %d", cols[0].Count, cols[1].Count, last)
+					return
+				}
+				last = cols[0].Count
+			}
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		<-done
+	}
+	if cols := tbl.Snapshot(); cols[0].Count != 1000 || cols[1].Max.I != 1499 {
+		t.Fatalf("final snapshot count %d max %v, want 1000, 1499", cols[0].Count, cols[1].Max)
+	}
+}
+
 func BenchmarkTableObserve(b *testing.B) {
 	rows := make([]sqltypes.Row, 1000)
 	for i := range rows {
