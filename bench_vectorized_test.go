@@ -47,12 +47,12 @@ func vectorizedEnvs(b *testing.B) (vectorized, row *bench.Env) {
 // kernel, key encode, accumulate) dominates over per-group output costs.
 func pipelineOp(e *bench.Env) bench.Op {
 	midDate := e.Dataset.Knows[len(e.Dataset.Knows)/2][2]
-	return bench.Op{Name: "FilterProjectAggregate", Run: func(g *snb.Graph) (int, error) {
+	return bench.Op{Name: "FilterProjectAggregate", Run: func(g *snb.Graph) ([]indexeddf.Row, error) {
 		knows := g.Knows
 		if g.Indexed {
 			knows = g.KnowsByP1
 		}
-		rows, err := knows.
+		return knows.
 			Filter(indexeddf.Gt(indexeddf.Col("creationDate"), indexeddf.Lit(midDate))).
 			Select(
 				indexeddf.As(indexeddf.Mod(indexeddf.Col("person1Id"), indexeddf.Lit(int64(64))), "bucket"),
@@ -60,7 +60,6 @@ func pipelineOp(e *bench.Env) bench.Op {
 			GroupBy("bucket").
 			Agg(indexeddf.CountAll(), indexeddf.Sum("person2Id"), indexeddf.Max("person2Id")).
 			Collect()
-		return len(rows), err
 	}}
 }
 

@@ -1,5 +1,4 @@
-// Command benchrunner regenerates the paper's evaluation tables in the
-// same layout as the figures:
+// Command benchrunner regenerates the paper's evaluation tables:
 //
 //	benchrunner -fig 2        Figure 2 — SQL operators, IndexedDF vs Spark
 //	benchrunner -fig 3        Figure 3 — SNB simple reads SQ1–SQ7
@@ -14,21 +13,28 @@
 //	benchrunner -fig adapt    adaptive filter cascade vs static fused kernel on a mis-ordered WHERE clause
 //	benchrunner -fig all      everything plus the max-speedup summary (§5)
 //
-// Flags -sf, -seed and -iters scale the run; -rowengine forces
-// row-at-a-time execution (the vectorized engine is the default), letting
-// two runs compare the engines process-to-process; -json writes the
-// measurements as machine-readable BENCH_*.json so successive PRs can
-// track the performance trajectory. Absolute times depend on this machine;
-// the shapes (who wins, by what factor) are what reproduce the paper.
+// Every figure is a table of workloads, each run by two or more arms
+// (engines or configurations) through one harness (internal/bench): the
+// arms' result rows are cross-checked, then each arm is timed in turn — a
+// warm-up, then -iters trials reporting the median wall time and the mean
+// allocated bytes. "speedup" is the first arm's wall time over the arm's.
+// Flags -sf and -seed scale and seed the SNB figures (2, 3, mem); -json
+// writes the measurements as machine-readable BENCH_*.json, which
+// cmd/benchcheck gates against bench/baselines/. Absolute times depend on
+// the machine; the shapes (who wins, by what factor) are what reproduce
+// the paper.
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -37,64 +43,166 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which experiment: 2, 3, mem, all")
+	fig := flag.String("fig", "all", "which experiment: 2, 3, mem, view, prepare, shuffle, sort, memacct, obs, spill, adapt or all")
 	sf := flag.Float64("sf", 1.0, "SNB scale factor (1.0 ~ 1k persons)")
 	seed := flag.Int64("seed", 42, "dataset seed")
-	iters := flag.Int("iters", 5, "timed iterations per operator")
-	rowEngine := flag.Bool("rowengine", false, "disable the vectorized engine (row-at-a-time execution)")
+	iters := flag.Int("iters", 5, "timed trials per arm")
 	jsonPath := flag.String("json", "", "write measurements as JSON (e.g. BENCH_results.json)")
 	flag.Parse()
 
-	if err := run(*fig, *sf, *seed, *iters, *rowEngine, *jsonPath); err != nil {
+	if err := run(*fig, *sf, *seed, *iters, *jsonPath); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// report is the machine-readable output written by -json.
-type report struct {
-	Figure    string               `json:"figure"`
-	ScaleF    float64              `json:"scale_factor"`
-	Seed      int64                `json:"seed"`
-	Iters     int                  `json:"iters"`
-	RowEngine bool                 `json:"row_engine"`
-	GoVersion string               `json:"go_version"`
-	Timestamp string               `json:"timestamp"`
-	Results   []measurementJSON    `json:"results,omitempty"`
-	Memory    *bench.MemoryReport  `json:"memory,omitempty"`
-	Shuffle   *bench.ShuffleReport `json:"shuffle,omitempty"`
-	Sort      *bench.SortReport    `json:"sort,omitempty"`
-	MemAcct   *bench.MemAcctReport `json:"memacct,omitempty"`
-	Obs       *bench.ObsReport     `json:"obs,omitempty"`
-	Spill     *bench.SpillReport   `json:"spill,omitempty"`
-	Adapt     *bench.AdaptReport   `json:"adapt,omitempty"`
-}
-
-type measurementJSON struct {
-	Name        string  `json:"name"`
-	IndexedNs   int64   `json:"indexed_ns"`
-	VanillaNs   int64   `json:"vanilla_ns"`
-	Speedup     float64 `json:"speedup"`
-	IndexedRows int     `json:"rows"`
-}
-
-func toJSON(ms []bench.Measurement) []measurementJSON {
-	out := make([]measurementJSON, len(ms))
-	for i, m := range ms {
-		out[i] = measurementJSON{Name: m.Name, IndexedNs: int64(m.IndexedTime),
-			VanillaNs: int64(m.VanillaTime), Speedup: m.Speedup(), IndexedRows: m.IndexedRows}
+func run(name string, sf float64, seed int64, iters int, jsonPath string) error {
+	all := name == "all"
+	figs := figures(sf, seed)
+	if !all && !slices.ContainsFunc(figs, func(f figure) bool { return f.name == name }) {
+		var names []string
+		for _, f := range figs {
+			names = append(names, f.name)
+		}
+		return fmt.Errorf("unknown -fig %q (want %s or all)", name, strings.Join(names, ", "))
 	}
-	return out
+	var best struct {
+		speedup float64
+		name    string
+	}
+	for i, f := range figs {
+		if !all && f.name != name {
+			continue
+		}
+		figs[i] = figure{} // the figure's data is garbage once it is measured
+		fmt.Printf("\n== %s ==\n", f.title)
+		rs, err := f.measure(iters)
+		if err != nil {
+			return fmt.Errorf("figure %s: %w", f.name, err)
+		}
+		printFigure(f, rs)
+		if jsonPath != "" {
+			if err := writeJSON(jsonName(jsonPath, f.name, all), f.document(rs, sf, seed, iters)); err != nil {
+				return err
+			}
+		}
+		// The §5 claim compares IndexedDF with vanilla Spark: Figures 2
+		// and 3 only.
+		if f.name == "2" || f.name == "3" {
+			for j, r := range rs {
+				if s := speedup(r, 1); s > best.speedup {
+					best.speedup, best.name = s, f.workloads[j].Name
+				}
+			}
+		}
+	}
+	if all {
+		fmt.Printf("\n§5 claim — maximum speedup vs vanilla: %.1fx (%s); paper reports \"up to 8X\"\n",
+			best.speedup, best.name)
+	}
+	return nil
 }
 
-func writeJSON(path string, r report) error {
-	r.GoVersion = runtime.Version()
-	r.Timestamp = time.Now().UTC().Format(time.RFC3339)
-	b, err := json.MarshalIndent(r, "", "  ")
+// measure loads the figure's data and measures its workloads in order.
+func (f figure) measure(iters int) ([]bench.Result, error) {
+	if f.close != nil {
+		defer f.close()
+	}
+	if err := f.load(); err != nil {
+		return nil, err
+	}
+	rs := make([]bench.Result, len(f.workloads))
+	for i, w := range f.workloads {
+		var err error
+		if rs[i], err = w.Measure(iters); err != nil {
+			return nil, err
+		}
+	}
+	return rs, nil
+}
+
+// speedup is the first arm's wall time over arm i's.
+func speedup(r bench.Result, i int) float64 {
+	if r.Samples[i].Wall <= 0 {
+		return 0
+	}
+	return float64(r.Samples[0].Wall) / float64(r.Samples[i].Wall)
+}
+
+func printFigure(f figure, rs []bench.Result) {
+	if len(f.workloads) > 0 {
+		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
+		fmt.Fprintln(w, "workload\tarm\twall [ms]\tspeedup\talloc [MB]\trows\t")
+		for i, wl := range f.workloads {
+			for j, a := range wl.Arms {
+				s := rs[i].Samples[j]
+				alloc := "-"
+				if !wl.WallOnly {
+					alloc = fmt.Sprintf("%.1f", float64(s.Alloc)/(1<<20))
+				}
+				fmt.Fprintf(w, "%s\t%s\t%.4f\t%.2fx\t%s\t%d\t\n", cmp.Or(wl.Name, f.name), a.Name,
+					float64(s.Wall.Nanoseconds())/1e6, speedup(rs[i], j), alloc, rs[i].Rows)
+			}
+		}
+		w.Flush()
+	}
+	keys := make([]string, 0, len(f.info))
+	for k := range f.info {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		fmt.Printf("%s: %v\n", k, f.info[k])
+	}
+	fmt.Println(strings.Repeat("-", 56))
+}
+
+// document is the figure's -json output. Gated metrics (cmd/benchcheck)
+// are the keys ending in _ns and containing alloc_bytes.
+func (f figure) document(rs []bench.Result, sf float64, seed int64, iters int) map[string]any {
+	doc := map[string]any{
+		"figure":       f.name,
+		"scale_factor": sf,
+		"seed":         seed,
+		"iters":        iters,
+		"go_version":   runtime.Version(),
+		"timestamp":    time.Now().UTC().Format(time.RFC3339),
+	}
+	if f.results {
+		list := make([]map[string]any, len(f.workloads))
+		for i, w := range f.workloads {
+			list[i] = map[string]any{"name": w.Name, "speedup": speedup(rs[i], 1), "rows": rs[i].Rows}
+			for j, a := range w.Arms {
+				list[i][a.Name+"_ns"] = rs[i].Samples[j].Wall.Nanoseconds()
+			}
+		}
+		doc["results"] = list
+		return doc
+	}
+	m := map[string]any{}
+	maps.Copy(m, f.info)
+	for i, w := range f.workloads {
+		prefix := w.Name
+		if prefix != "" {
+			prefix += "_"
+		}
+		m[prefix+"result_rows"] = rs[i].Rows
+		for j, a := range w.Arms {
+			m[prefix+a.Name+"_ns"] = rs[i].Samples[j].Wall.Nanoseconds()
+			if !w.WallOnly {
+				m[prefix+a.Name+"_alloc_bytes"] = rs[i].Samples[j].Alloc
+			}
+		}
+	}
+	doc[f.name] = m
+	return doc
+}
+
+func writeJSON(path string, doc map[string]any) error {
+	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", path)
@@ -108,498 +216,5 @@ func jsonName(base, fig string, multi bool) string {
 	if !multi {
 		return base
 	}
-	ext := ".json"
-	stem := strings.TrimSuffix(base, ext)
-	return fmt.Sprintf("%s_fig%s%s", stem, fig, ext)
+	return fmt.Sprintf("%s_fig%s.json", strings.TrimSuffix(base, ".json"), fig)
 }
-
-func run(fig string, sf float64, seed int64, iters int, rowEngine bool, jsonPath string) error {
-	engine := "vectorized"
-	if rowEngine {
-		engine = "row-at-a-time"
-	}
-	fmt.Printf("engine: %s\n", engine)
-	base := report{ScaleF: sf, Seed: seed, Iters: iters, RowEngine: rowEngine}
-	emit := func(figName string, ms []bench.Measurement, mem *bench.MemoryReport, multi bool) error {
-		if jsonPath == "" {
-			return nil
-		}
-		r := base
-		r.Figure = figName
-		r.Results = toJSON(ms)
-		r.Memory = mem
-		return writeJSON(jsonName(jsonPath, figName, multi), r)
-	}
-	var all []bench.Measurement
-	switch fig {
-	case "2":
-		ms, err := figure2(sf, seed, iters, rowEngine)
-		if err != nil {
-			return err
-		}
-		if err := emit("2", ms, nil, false); err != nil {
-			return err
-		}
-		all = ms
-	case "3":
-		ms, err := figure3(sf, seed, iters, rowEngine)
-		if err != nil {
-			return err
-		}
-		if err := emit("3", ms, nil, false); err != nil {
-			return err
-		}
-		all = ms
-	case "mem":
-		r, err := memory(sf, seed, rowEngine)
-		if err != nil {
-			return err
-		}
-		return emit("mem", nil, r, false)
-	case "view":
-		ms, err := viewMaintenance(iters)
-		if err != nil {
-			return err
-		}
-		if err := emit("view", ms, nil, false); err != nil {
-			return err
-		}
-	case "prepare":
-		ms, err := preparedStatements(iters)
-		if err != nil {
-			return err
-		}
-		if err := emit("prepare", ms, nil, false); err != nil {
-			return err
-		}
-	case "shuffle":
-		r, err := shuffleExchange(iters)
-		if err != nil {
-			return err
-		}
-		if jsonPath != "" {
-			rep := base
-			rep.Figure = "shuffle"
-			rep.Shuffle = &r
-			if err := writeJSON(jsonPath, rep); err != nil {
-				return err
-			}
-		}
-	case "sort":
-		r, err := sortOrderBy(iters)
-		if err != nil {
-			return err
-		}
-		if jsonPath != "" {
-			rep := base
-			rep.Figure = "sort"
-			rep.Sort = &r
-			if err := writeJSON(jsonPath, rep); err != nil {
-				return err
-			}
-		}
-	case "memacct":
-		r, err := memAccounting(iters)
-		if err != nil {
-			return err
-		}
-		if jsonPath != "" {
-			rep := base
-			rep.Figure = "memacct"
-			rep.MemAcct = &r
-			if err := writeJSON(jsonPath, rep); err != nil {
-				return err
-			}
-		}
-	case "obs":
-		r, err := obsOverhead(iters)
-		if err != nil {
-			return err
-		}
-		if jsonPath != "" {
-			rep := base
-			rep.Figure = "obs"
-			rep.Obs = &r
-			if err := writeJSON(jsonPath, rep); err != nil {
-				return err
-			}
-		}
-	case "spill":
-		r, err := spillOutOfCore(iters)
-		if err != nil {
-			return err
-		}
-		if jsonPath != "" {
-			rep := base
-			rep.Figure = "spill"
-			rep.Spill = &r
-			if err := writeJSON(jsonPath, rep); err != nil {
-				return err
-			}
-		}
-	case "adapt":
-		r, err := adaptiveFilter(iters)
-		if err != nil {
-			return err
-		}
-		if jsonPath != "" {
-			rep := base
-			rep.Figure = "adapt"
-			rep.Adapt = &r
-			if err := writeJSON(jsonPath, rep); err != nil {
-				return err
-			}
-		}
-	case "all":
-		m2, err := figure2(sf, seed, iters, rowEngine)
-		if err != nil {
-			return err
-		}
-		if err := emit("2", m2, nil, true); err != nil {
-			return err
-		}
-		m3, err := figure3(sf, seed, iters, rowEngine)
-		if err != nil {
-			return err
-		}
-		if err := emit("3", m3, nil, true); err != nil {
-			return err
-		}
-		mr, err := memory(sf, seed, rowEngine)
-		if err != nil {
-			return err
-		}
-		if err := emit("mem", nil, mr, true); err != nil {
-			return err
-		}
-		mv, err := viewMaintenance(iters)
-		if err != nil {
-			return err
-		}
-		if err := emit("view", mv, nil, true); err != nil {
-			return err
-		}
-		mp, err := preparedStatements(iters)
-		if err != nil {
-			return err
-		}
-		if err := emit("prepare", mp, nil, true); err != nil {
-			return err
-		}
-		sr, err := shuffleExchange(iters)
-		if err != nil {
-			return err
-		}
-		if jsonPath != "" {
-			rep := base
-			rep.Figure = "shuffle"
-			rep.Shuffle = &sr
-			if err := writeJSON(jsonName(jsonPath, "shuffle", true), rep); err != nil {
-				return err
-			}
-		}
-		so, err := sortOrderBy(iters)
-		if err != nil {
-			return err
-		}
-		if jsonPath != "" {
-			rep := base
-			rep.Figure = "sort"
-			rep.Sort = &so
-			if err := writeJSON(jsonName(jsonPath, "sort", true), rep); err != nil {
-				return err
-			}
-		}
-		ma, err := memAccounting(iters)
-		if err != nil {
-			return err
-		}
-		if jsonPath != "" {
-			rep := base
-			rep.Figure = "memacct"
-			rep.MemAcct = &ma
-			if err := writeJSON(jsonName(jsonPath, "memacct", true), rep); err != nil {
-				return err
-			}
-		}
-		ob, err := obsOverhead(iters)
-		if err != nil {
-			return err
-		}
-		if jsonPath != "" {
-			rep := base
-			rep.Figure = "obs"
-			rep.Obs = &ob
-			if err := writeJSON(jsonName(jsonPath, "obs", true), rep); err != nil {
-				return err
-			}
-		}
-		sp, err := spillOutOfCore(iters)
-		if err != nil {
-			return err
-		}
-		if jsonPath != "" {
-			rep := base
-			rep.Figure = "spill"
-			rep.Spill = &sp
-			if err := writeJSON(jsonName(jsonPath, "spill", true), rep); err != nil {
-				return err
-			}
-		}
-		ad, err := adaptiveFilter(iters)
-		if err != nil {
-			return err
-		}
-		if jsonPath != "" {
-			rep := base
-			rep.Figure = "adapt"
-			rep.Adapt = &ad
-			if err := writeJSON(jsonName(jsonPath, "adapt", true), rep); err != nil {
-				return err
-			}
-		}
-		// The §5 summary below compares IndexedDF vs vanilla Spark; the
-		// view measurements compare maintenance strategies, so they stay
-		// out of it.
-		all = append(m2, m3...)
-	default:
-		return fmt.Errorf("unknown -fig %q (want 2, 3, mem, view, prepare, shuffle, sort, memacct, obs, spill, adapt or all)", fig)
-	}
-	if fig == "all" {
-		best := bench.Measurement{}
-		for _, m := range all {
-			if m.Speedup() > best.Speedup() {
-				best = m
-			}
-		}
-		fmt.Printf("\n§5 claim — maximum speedup vs vanilla: %.1fx (%s); paper reports \"up to 8X\"\n",
-			best.Speedup(), best.Name)
-	}
-	return nil
-}
-
-func shuffleExchange(iters int) (bench.ShuffleReport, error) {
-	fmt.Printf("\n== Batch exchange vs row exchange: 1M-row GROUP BY through the shuffle (100k groups) ==\n")
-	r, err := bench.ShuffleGroupBy(1_000_000, 100_000, iters)
-	if err != nil {
-		return bench.ShuffleReport{}, err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "exchange\twall [ms]\talloc [MB]\t")
-	fmt.Fprintf(w, "batch (columnar)\t%.2f\t%.1f\t\n", msf(r.BatchTime), float64(r.BatchAllocs)/(1<<20))
-	fmt.Fprintf(w, "row\t%.2f\t%.1f\t\n", msf(r.RowTime), float64(r.RowAllocs)/(1<<20))
-	w.Flush()
-	fmt.Printf("batch exchange: %.2fx faster, %.2fx fewer allocated bytes (%d result groups)\n",
-		r.Speedup(), r.AllocRatio(), r.ResultRows)
-	fmt.Println(strings.Repeat("-", 56))
-	return r, nil
-}
-
-func sortOrderBy(iters int) (bench.SortReport, error) {
-	const rows, topN = 1_000_000, 100
-	fmt.Printf("\n== Batch sort vs row sort: 1M-row ORDER BY, and the fused top-n (LIMIT %d) ==\n", topN)
-	r, err := bench.SortOrderBy(rows, topN, iters)
-	if err != nil {
-		return bench.SortReport{}, err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "workload\tbatch [ms]\trow [ms]\tspeedup\tbatch alloc [MB]\trow alloc [MB]\t")
-	fmt.Fprintf(w, "ORDER BY (full sort)\t%.2f\t%.2f\t%.2fx\t%.1f\t%.1f\t\n",
-		msf(r.BatchSort), msf(r.RowSort), r.SortSpeedup(),
-		float64(r.BatchSortAllocs)/(1<<20), float64(r.RowSortAllocs)/(1<<20))
-	fmt.Fprintf(w, "ORDER BY ... LIMIT %d (top-n)\t%.2f\t%.2f\t%.2fx\t%.1f\t%.1f\t\n",
-		topN, msf(r.BatchTopN), msf(r.RowTopN), r.TopNSpeedup(),
-		float64(r.BatchTopNAllocs)/(1<<20), float64(r.RowTopNAllocs)/(1<<20))
-	w.Flush()
-	fmt.Printf("batch sort: %.2fx faster; top-n: %.2fx faster than the row sort (%d rows)\n",
-		r.SortSpeedup(), r.TopNSpeedup(), r.Rows)
-	fmt.Println(strings.Repeat("-", 56))
-	return r, nil
-}
-
-func memAccounting(iters int) (bench.MemAcctReport, error) {
-	fmt.Printf("\n== Memory accounting overhead: budgets on vs off, 1M-row GROUP BY + top-n pipeline ==\n")
-	r, err := bench.MemAcctPipeline(1_000_000, 100_000, iters)
-	if err != nil {
-		return bench.MemAcctReport{}, err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "budgets\twall [ms]\talloc [MB]\t")
-	fmt.Fprintf(w, "on (pool + per-query tracker)\t%.2f\t%.1f\t\n", msf(r.AcctTime), float64(r.AcctAllocs)/(1<<20))
-	fmt.Fprintf(w, "off\t%.2f\t%.1f\t\n", msf(r.BareTime), float64(r.BareAllocs)/(1<<20))
-	w.Flush()
-	fmt.Printf("accounting overhead: %.2fx wall (%d result rows)\n", r.Overhead(), r.ResultRows)
-	fmt.Println(strings.Repeat("-", 56))
-	return r, nil
-}
-
-func obsOverhead(iters int) (bench.ObsReport, error) {
-	fmt.Printf("\n== Observability overhead: per-operator stats on vs off, 1M-row GROUP BY + top-n pipeline ==\n")
-	r, err := bench.ObsPipeline(1_000_000, 100_000, iters)
-	if err != nil {
-		return bench.ObsReport{}, err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "observability\twall [ms]\talloc [MB]\t")
-	fmt.Fprintf(w, "on (operator stats + tracing)\t%.2f\t%.1f\t\n", msf(r.ObsTime), float64(r.ObsAllocs)/(1<<20))
-	fmt.Fprintf(w, "off\t%.2f\t%.1f\t\n", msf(r.BareTime), float64(r.BareAllocs)/(1<<20))
-	w.Flush()
-	fmt.Printf("observability overhead: %.2fx wall (%d result rows)\n", r.Overhead(), r.ResultRows)
-	fmt.Println(strings.Repeat("-", 56))
-	return r, nil
-}
-
-func spillOutOfCore(iters int) (bench.SpillReport, error) {
-	const rows, groups, budget = 200_000, 3_000, int64(2 << 20)
-	fmt.Printf("\n== Out-of-core execution: %dk-row sort, GROUP BY (exchange & group-table spill), grace join — ~10x over a %d MiB budget vs unconstrained ==\n",
-		rows/1000, budget>>20)
-	r, err := bench.SpillPipeline(rows, groups, budget, iters)
-	if err != nil {
-		return bench.SpillReport{}, err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "workload\tspill [ms]\tin-mem [ms]\tslowdown\truns\tspilled [MB]\t")
-	fmt.Fprintf(w, "ORDER BY (parallel range merge)\t%.2f\t%.2f\t%.2fx\t%d\t%.1f\t\n",
-		msf(r.SortSpill), msf(r.SortInMem), r.SortSlowdown(), r.SortRuns, float64(r.SortBytes)/(1<<20))
-	fmt.Fprintf(w, "GROUP BY (spilled shuffle)\t%.2f\t%.2f\t%.2fx\t%d\t%.1f\t\n",
-		msf(r.AggSpill), msf(r.AggInMem), r.AggSlowdown(), r.AggRuns, float64(r.AggBytes)/(1<<20))
-	fmt.Fprintf(w, "GROUP BY (group-table fan-out)\t%.2f\t%.2f\t%.2fx\t%d\t%.1f\t\n",
-		msf(r.AggOvfSpill), msf(r.AggOvfInMem), r.AggOvfSlowdown(), r.AggOvfRuns, float64(r.AggOvfBytes)/(1<<20))
-	fmt.Fprintf(w, "JOIN (grace hash join)\t%.2f\t%.2f\t%.2fx\t%d\t%.1f\t\n",
-		msf(r.GraceSpill), msf(r.GraceInMem), r.GraceSlowdown(), r.GraceRuns, float64(r.GraceBytes)/(1<<20))
-	w.Flush()
-	fmt.Printf("out-of-core: sort %.2fx, group-by %.2fx of in-memory wall time (%d / %d result rows)\n",
-		r.SortSlowdown(), r.AggSlowdown(), r.SortResultRows, r.AggResultRows)
-	fmt.Printf("parallel merge ablation: single k-way merge %.2f ms vs parallel %.2f ms (%.2fx)\n",
-		msf(r.SortSingle), msf(r.SortSpill), r.ParallelSpeedup())
-	fmt.Println(strings.Repeat("-", 56))
-	return r, nil
-}
-
-func adaptiveFilter(iters int) (bench.AdaptReport, error) {
-	const rows, ingestRows = 1_000_000, 100_000
-	fmt.Printf("\n== Adaptive filter cascade: 1M-row scan, deliberately mis-ordered 4-conjunct WHERE (sel ~1.0 string, 0.9, 0.5, 0.001) ==\n")
-	r, err := bench.AdaptiveFilter(rows, ingestRows, iters)
-	if err != nil {
-		return bench.AdaptReport{}, err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "engine\twall [ms]\talloc [MB]\t")
-	fmt.Fprintf(w, "static fused kernel (mis-ordered)\t%.2f\t%.1f\t\n", msf(r.StaticTime), float64(r.StaticAllocs)/(1<<20))
-	fmt.Fprintf(w, "adaptive cascade (mis-ordered)\t%.2f\t%.1f\t\n", msf(r.AdaptiveTime), float64(r.AdaptiveAllocs)/(1<<20))
-	fmt.Fprintf(w, "adaptive cascade (hand-ordered)\t%.2f\t%.1f\t\n", msf(r.HandTime), float64(r.HandAllocs)/(1<<20))
-	w.Flush()
-	fmt.Printf("adaptive vs static: %.2fx faster; vs hand-ordered oracle: %.2fx wall (%d result rows)\n",
-		r.Speedup(), r.HandGap(), r.ResultRows)
-	fmt.Printf("ingest statistics overhead: %.2fx wall (%dk rows appended, stats on %.2f ms vs off %.2f ms)\n",
-		r.IngestOverhead(), r.IngestRows/1000, msf(r.IngestStats), msf(r.IngestBare))
-	fmt.Println(strings.Repeat("-", 56))
-	return r, nil
-}
-
-func preparedStatements(iters int) ([]bench.Measurement, error) {
-	fmt.Printf("\n== Prepared statements: plan-cache execution vs parse-per-call SQL (indexed point lookup) ==\n")
-	var ms []bench.Measurement
-	for _, baseRows := range []int{10_000, 100_000} {
-		m, err := bench.PreparedLookup(baseRows, iters)
-		if err != nil {
-			return nil, err
-		}
-		ms = append(ms, m)
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "workload\tprepared [ms]\tad-hoc SQL [ms]\tspeedup\t")
-	for _, m := range ms {
-		fmt.Fprintf(w, "%s\t%.4f\t%.4f\t%.2fx\t\n",
-			m.Name, msf(m.IndexedTime), msf(m.VanillaTime), m.Speedup())
-	}
-	w.Flush()
-	fmt.Println(strings.Repeat("-", 56))
-	return ms, nil
-}
-
-func viewMaintenance(iters int) ([]bench.Measurement, error) {
-	fmt.Printf("\n== Materialized views: delta refresh vs full recompute (128 groups, 256-row update batches) ==\n")
-	var ms []bench.Measurement
-	for _, baseRows := range []int{1_000, 100_000} {
-		m, err := bench.ViewMaintenance(baseRows, 256, iters)
-		if err != nil {
-			return nil, err
-		}
-		ms = append(ms, m)
-	}
-	printViewTable(ms)
-	return ms, nil
-}
-
-func printViewTable(ms []bench.Measurement) {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "workload\tdelta refresh [ms]\tfull recompute [ms]\tspeedup\tgroups\t")
-	for _, m := range ms {
-		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.2fx\t%d\t\n",
-			m.Name, msf(m.IndexedTime), msf(m.VanillaTime), m.Speedup(), m.IndexedRows)
-	}
-	w.Flush()
-	fmt.Println(strings.Repeat("-", 56))
-}
-
-func figure2(sf float64, seed int64, iters int, rowEngine bool) ([]bench.Measurement, error) {
-	fmt.Printf("== Figure 2: SQL operators on person_knows_person (sf=%.2f, cluster regime: no broadcast) ==\n", sf)
-	e, err := bench.NewEnv(bench.EnvConfig{ScaleFactor: sf, Seed: seed, BroadcastThreshold: 1,
-		DisableVectorized: rowEngine})
-	if err != nil {
-		return nil, err
-	}
-	ms, err := bench.Compare(e, bench.Figure2Ops(e), iters)
-	if err != nil {
-		return nil, err
-	}
-	printTable(ms)
-	return ms, nil
-}
-
-func figure3(sf float64, seed int64, iters int, rowEngine bool) ([]bench.Measurement, error) {
-	fmt.Printf("\n== Figure 3: SNB simple read queries SQ1-SQ7 (sf=%.2f, %d params each) ==\n", sf, 8)
-	e, err := bench.NewEnv(bench.EnvConfig{ScaleFactor: sf, Seed: seed, DisableVectorized: rowEngine})
-	if err != nil {
-		return nil, err
-	}
-	ms, err := bench.Compare(e, bench.Figure3Ops(e), iters)
-	if err != nil {
-		return nil, err
-	}
-	printTable(ms)
-	return ms, nil
-}
-
-func memory(sf float64, seed int64, rowEngine bool) (*bench.MemoryReport, error) {
-	fmt.Printf("\n== §2 claim: memory overhead of the Indexed DataFrame (knows table, sf=%.2f) ==\n", sf)
-	e, err := bench.NewEnv(bench.EnvConfig{ScaleFactor: sf, Seed: seed, DisableVectorized: rowEngine})
-	if err != nil {
-		return nil, err
-	}
-	r := bench.Memory(e)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "vanilla columnar cache\t%d bytes\n", r.ColumnarBytes)
-	fmt.Fprintf(w, "indexed row data (encoded)\t%d bytes\n", r.DataBytes)
-	fmt.Fprintf(w, "indexed ctrie estimate\t%d bytes\n", r.IndexBytes)
-	fmt.Fprintf(w, "indexed reserved batches\t%d bytes\n", r.BatchBytes)
-	fmt.Fprintf(w, "overhead ratio (data+index)/columnar\t%.2fx\n", r.OverheadPerCopy)
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-func printTable(ms []bench.Measurement) {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "query\tIndexedDF [ms]\tSpark [ms]\tspeedup\trows\t")
-	for _, m := range ms {
-		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%.2fx\t%d\t\n",
-			m.Name, msf(m.IndexedTime), msf(m.VanillaTime), m.Speedup(), m.IndexedRows)
-	}
-	w.Flush()
-	fmt.Println(strings.Repeat("-", 56))
-}
-
-func msf(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

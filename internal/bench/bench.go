@@ -1,15 +1,15 @@
 // Package bench hosts the shared experiment harness that regenerates the
 // paper's evaluation: Figure 2 (SQL operator microbenchmarks on
 // person_knows_person, Indexed DataFrame vs vanilla) and Figure 3 (the
-// seven SNB simple reads on both engines), plus the memory-overhead and
-// append-latency claims and our ablations. Both `go test -bench` and
-// cmd/benchrunner drive it.
+// seven SNB simple reads on both engines), plus the memory-overhead
+// claim and our ablations. Both `go test -bench` and cmd/benchrunner
+// drive it. Every benchrunner figure is a list of Workloads measured by
+// Workload.Measure: one cross-check of the arms' result rows, then one
+// timing loop per arm (harness.go).
 package bench
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"indexeddf"
 	"indexeddf/internal/snb"
@@ -67,21 +67,21 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 // Op is one benchmarked operation, runnable against either engine.
 type Op struct {
 	Name string
-	Run  func(g *snb.Graph) (rows int, err error)
+	// Ordered marks an op whose output is sorted, so engines must agree
+	// on the order too.
+	Ordered bool
+	Run     func(g *snb.Graph) ([]indexeddf.Row, error)
 }
 
 // Figure2Ops returns the paper's six SQL operators over
-// person_knows_person (join against person), in figure order.
+// person_knows_person (join against person), in figure order. The ops
+// read e when they run, so e may be loaded after they are built.
 func Figure2Ops(e *Env) []Op {
 	// Fixed, deterministic parameters derived from the dataset.
-	eqKey := e.Dataset.Persons[len(e.Dataset.Persons)/3][0].Int64Val()
+	eqKey := func() int64 { return e.Dataset.Persons[len(e.Dataset.Persons)/3][0].Int64Val() }
 	// Range splitting knows roughly in half: median creationDate.
-	midDate := e.Dataset.Knows[len(e.Dataset.Knows)/2][2]
+	midDate := func() indexeddf.Value { return e.Dataset.Knows[len(e.Dataset.Knows)/2][2] }
 
-	count := func(df *indexeddf.DataFrame) (int, error) {
-		rows, err := df.Collect()
-		return len(rows), err
-	}
 	knows := func(g *snb.Graph) *indexeddf.DataFrame {
 		if g.Indexed {
 			return g.KnowsByP1
@@ -95,114 +95,67 @@ func Figure2Ops(e *Env) []Op {
 		return g.Person
 	}
 	return []Op{
-		{Name: "Join", Run: func(g *snb.Graph) (int, error) {
+		{Name: "Join", Run: func(g *snb.Graph) ([]indexeddf.Row, error) {
 			// knows JOIN person ON person1Id = person.id: the indexed
 			// relation is the pre-built build side; vanilla shuffles.
-			return count(knows(g).Join(person(g),
-				indexeddf.Eq(indexeddf.Col("person1Id"), indexeddf.Col("person.id"))))
+			return knows(g).Join(person(g),
+				indexeddf.Eq(indexeddf.Col("person1Id"), indexeddf.Col("person.id"))).Collect()
 		}},
-		{Name: "Filter", Run: func(g *snb.Graph) (int, error) {
+		{Name: "Filter", Run: func(g *snb.Graph) ([]indexeddf.Row, error) {
 			// Non-equality predicate: no index applies on either engine.
-			return count(knows(g).Filter(
-				indexeddf.Gt(indexeddf.Col("creationDate"), indexeddf.Lit(midDate))))
+			return knows(g).Filter(
+				indexeddf.Gt(indexeddf.Col("creationDate"), indexeddf.Lit(midDate()))).Collect()
 		}},
-		{Name: "EqualityFilter", Run: func(g *snb.Graph) (int, error) {
-			return count(knows(g).Filter(
-				indexeddf.Eq(indexeddf.Col("person1Id"), indexeddf.Lit(eqKey))))
+		{Name: "EqualityFilter", Run: func(g *snb.Graph) ([]indexeddf.Row, error) {
+			return knows(g).Filter(
+				indexeddf.Eq(indexeddf.Col("person1Id"), indexeddf.Lit(eqKey()))).Collect()
 		}},
-		{Name: "Aggregation", Run: func(g *snb.Graph) (int, error) {
-			return count(knows(g).GroupBy("person1Id").Count())
+		{Name: "Aggregation", Run: func(g *snb.Graph) ([]indexeddf.Row, error) {
+			return knows(g).GroupBy("person1Id").Count().Collect()
 		}},
-		{Name: "Projection", Run: func(g *snb.Graph) (int, error) {
-			return count(knows(g).SelectCols("person2Id"))
+		{Name: "Projection", Run: func(g *snb.Graph) ([]indexeddf.Row, error) {
+			return knows(g).SelectCols("person2Id").Collect()
 		}},
-		{Name: "Scan", Run: func(g *snb.Graph) (int, error) {
-			return count(knows(g))
+		{Name: "Scan", Run: func(g *snb.Graph) ([]indexeddf.Row, error) {
+			return knows(g).Collect()
 		}},
 	}
 }
 
 // Figure3Ops returns the seven SNB simple reads, each running its full
-// parameter set.
+// parameter set (read from e when the op runs).
 func Figure3Ops(e *Env) []Op {
 	var ops []Op
 	for _, q := range snb.Queries() {
-		q := q
-		ids := e.Params[q.ParamKind]
-		ops = append(ops, Op{Name: q.Name, Run: func(g *snb.Graph) (int, error) {
-			total := 0
-			for _, id := range ids {
+		ops = append(ops, Op{Name: q.Name, Ordered: q.Ordered, Run: func(g *snb.Graph) ([]indexeddf.Row, error) {
+			var out []indexeddf.Row
+			for _, id := range e.Params[q.ParamKind] {
 				rows, err := q.Run(g, id)
 				if err != nil {
-					return total, fmt.Errorf("%s(%d): %w", q.Name, id, err)
+					return nil, fmt.Errorf("%s(%d): %w", q.Name, id, err)
 				}
-				total += len(rows)
+				out = append(out, rows...)
 			}
-			return total, nil
+			return out, nil
 		}})
 	}
 	return ops
 }
 
-// Measurement is one timed comparison row.
-type Measurement struct {
-	Name        string
-	VanillaTime time.Duration
-	IndexedTime time.Duration
-	VanillaRows int
-	IndexedRows int
-}
-
-// Speedup returns vanilla/indexed.
-func (m Measurement) Speedup() float64 {
-	if m.IndexedTime <= 0 {
-		return 0
-	}
-	return float64(m.VanillaTime) / float64(m.IndexedTime)
-}
-
-// timeOp runs op `iters` times against g and returns the median duration
-// (robust to GC pauses on small machines).
-func timeOp(op Op, g *snb.Graph, iters int) (time.Duration, int, error) {
-	if iters < 1 {
-		iters = 1
-	}
-	// Warm up once (populates lazily built caches).
-	rows, err := op.Run(g)
-	if err != nil {
-		return 0, rows, err
-	}
-	times := make([]time.Duration, iters)
-	for i := 0; i < iters; i++ {
-		start := time.Now()
-		if rows, err = op.Run(g); err != nil {
-			return 0, rows, err
+// Compare returns one workload per op, timing it on the vanilla engine
+// and then on the indexed one (arms "vanilla" and "indexed").
+func Compare(e *Env, ops []Op) []Workload {
+	ws := make([]Workload, len(ops))
+	for i, op := range ops {
+		arm := func(name string, g func() *snb.Graph) Arm {
+			return Arm{Name: name, Rows: func() ([]indexeddf.Row, error) { return op.Run(g()) }}
 		}
-		times[i] = time.Since(start)
+		ws[i] = Workload{Name: op.Name, Ordered: op.Ordered, Arms: []Arm{
+			arm("vanilla", func() *snb.Graph { return e.Vanilla }),
+			arm("indexed", func() *snb.Graph { return e.Indexed }),
+		}}
 	}
-	sort.Slice(times, func(a, b int) bool { return times[a] < times[b] })
-	return times[iters/2], rows, nil
-}
-
-// Compare times each op on both engines.
-func Compare(e *Env, ops []Op, iters int) ([]Measurement, error) {
-	out := make([]Measurement, 0, len(ops))
-	for _, op := range ops {
-		vt, vr, err := timeOp(op, e.Vanilla, iters)
-		if err != nil {
-			return nil, fmt.Errorf("bench %s (vanilla): %w", op.Name, err)
-		}
-		it, ir, err := timeOp(op, e.Indexed, iters)
-		if err != nil {
-			return nil, fmt.Errorf("bench %s (indexed): %w", op.Name, err)
-		}
-		if vr != ir {
-			return nil, fmt.Errorf("bench %s: engines disagree (%d vs %d rows)", op.Name, vr, ir)
-		}
-		out = append(out, Measurement{Name: op.Name, VanillaTime: vt, IndexedTime: it,
-			VanillaRows: vr, IndexedRows: ir})
-	}
-	return out, nil
+	return ws
 }
 
 // MemoryReport quantifies the paper's memory-overhead claim: the indexed
@@ -233,4 +186,34 @@ func Memory(e *Env) MemoryReport {
 		r.OverheadPerCopy = float64(r.DataBytes+r.IndexBytes) / float64(r.ColumnarBytes)
 	}
 	return r
+}
+
+// KVSession returns a session over the columnar-cached table t(k, v
+// BIGINT) of n rows, row i holding kv(i): the table the shuffle, sort,
+// memory-accounting and observability figures query.
+func KVSession(cfg indexeddf.Config, n int, kv func(i int) (k, v int64)) (*indexeddf.Session, error) {
+	sess := indexeddf.NewSession(cfg)
+	schema := indexeddf.NewSchema(
+		indexeddf.Field{Name: "k", Type: indexeddf.Int64},
+		indexeddf.Field{Name: "v", Type: indexeddf.Int64},
+	)
+	data := make([]indexeddf.Row, n)
+	for i := range data {
+		data[i] = indexeddf.R(kv(i))
+	}
+	df, err := sess.CreateTable("t", schema, data)
+	if err != nil {
+		return nil, err
+	}
+	_, err = df.Cache()
+	return sess, err
+}
+
+// Collect runs query on sess and returns every result row.
+func Collect(sess *indexeddf.Session, query string) ([]indexeddf.Row, error) {
+	df, err := sess.SQL(query)
+	if err != nil {
+		return nil, err
+	}
+	return df.Collect()
 }

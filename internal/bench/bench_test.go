@@ -1,7 +1,11 @@
 package bench
 
 import (
+	"strings"
 	"testing"
+
+	"indexeddf"
+	"indexeddf/internal/snb"
 )
 
 func tinyEnv(t *testing.T) *Env {
@@ -35,34 +39,43 @@ func TestNewEnvLoadsBothEngines(t *testing.T) {
 }
 
 // TestCompareEnforcesResultAgreement is the harness's own safety property:
-// a measurement is only produced when both engines return the same row
-// count, so the published tables cannot compare unequal work.
+// a measurement is only produced when both engines return the same rows,
+// so the published tables cannot compare unequal work.
 func TestCompareEnforcesResultAgreement(t *testing.T) {
 	e := tinyEnv(t)
-	ms, err := Compare(e, Figure2Ops(e), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 6 {
-		t.Fatalf("figure 2 rows = %d", len(ms))
-	}
-	names := map[string]bool{}
-	for _, m := range ms {
-		names[m.Name] = true
-		if m.VanillaRows != m.IndexedRows {
-			t.Fatalf("%s: rows disagree", m.Name)
+	ws := Compare(e, Figure2Ops(e))
+	var names []string
+	for _, w := range ws {
+		names = append(names, w.Name)
+		r, err := w.Measure(1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if m.IndexedTime <= 0 || m.VanillaTime <= 0 {
-			t.Fatalf("%s: zero timing", m.Name)
+		if r.Rows == 0 {
+			t.Fatalf("%s: no result rows", w.Name)
 		}
-		if m.Speedup() <= 0 {
-			t.Fatalf("%s: speedup = %f", m.Name, m.Speedup())
+		for i, s := range r.Samples {
+			if s.Wall <= 0 {
+				t.Fatalf("%s/%s: zero timing", w.Name, w.Arms[i].Name)
+			}
 		}
 	}
-	for _, want := range []string{"Join", "Filter", "EqualityFilter", "Aggregation", "Projection", "Scan"} {
-		if !names[want] {
-			t.Fatalf("missing op %s", want)
+	if got, want := strings.Join(names, ","), "Join,Filter,EqualityFilter,Aggregation,Projection,Scan"; got != want {
+		t.Fatalf("figure 2 ops = %s, want %s", got, want)
+	}
+
+	// An op whose indexed result differs in one value is refused.
+	skewed := Op{Name: "Skewed", Run: func(g *snb.Graph) ([]indexeddf.Row, error) {
+		rows, err := Figure2Ops(e)[5].Run(g)
+		if err != nil || !g.Indexed {
+			return rows, err
 		}
+		rows[0] = rows[0].Clone()
+		rows[0][0] = indexeddf.V(rows[0][0].Int64Val() + 1)
+		return rows, nil
+	}}
+	if _, err := Compare(e, []Op{skewed})[0].Measure(1); err == nil {
+		t.Fatal("engines returning different rows were measured")
 	}
 }
 
@@ -81,8 +94,8 @@ func TestFigure3OpsRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s indexed: %v", op.Name, err)
 		}
-		if vr != ir {
-			t.Fatalf("%s: %d vs %d rows", op.Name, vr, ir)
+		if err := SameRows(vr, ir, op.Ordered); err != nil {
+			t.Fatalf("%s: %v", op.Name, err)
 		}
 	}
 }

@@ -364,50 +364,3 @@ func (r *UnionRDD) Compute(tc *TaskContext, p int) (sqltypes.RowIter, error) {
 	}
 	return nil, fmt.Errorf("rdd: union partition out of range")
 }
-
-// CachedRDD memoizes its parent's partitions in the context's block
-// manager. The first computation of a partition materializes and stores it;
-// later computations hit the cache.
-type CachedRDD struct {
-	id     int
-	parent RDD
-}
-
-// NewCachedRDD wraps parent with block-manager caching.
-func (c *Context) NewCachedRDD(parent RDD) *CachedRDD {
-	return &CachedRDD{id: c.nextRDDID(), parent: parent}
-}
-
-// ID implements RDD.
-func (r *CachedRDD) ID() int { return r.id }
-
-// NumPartitions implements RDD.
-func (r *CachedRDD) NumPartitions() int { return r.parent.NumPartitions() }
-
-// Dependencies implements RDD.
-func (r *CachedRDD) Dependencies() []Dependency { return []Dependency{OneToOne{P: r.parent}} }
-
-// Compute implements RDD.
-func (r *CachedRDD) Compute(tc *TaskContext, p int) (sqltypes.RowIter, error) {
-	id := tc.Ctx.blockID(r.id, p)
-	if v, ok := tc.Ctx.Blocks.Get(id); ok {
-		return sqltypes.NewSliceIter(v.([]sqltypes.Row)), nil
-	}
-	it, err := r.parent.Compute(tc, p)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := sqltypes.Drain(it)
-	if err != nil {
-		return nil, err
-	}
-	var size int64
-	for _, row := range rows {
-		size += int64(len(row)) * 24
-		for _, v := range row {
-			size += int64(len(v.S))
-		}
-	}
-	tc.Ctx.Blocks.Put(id, rows, size)
-	return sqltypes.NewSliceIter(rows), nil
-}

@@ -210,18 +210,20 @@ type Query struct {
 	Run func(g *Graph, id int64) ([]sqltypes.Row, error)
 	// ParamKind selects the parameter domain: "person" or "message".
 	ParamKind string
+	// Ordered marks a query whose output is sorted (IS2, IS3, IS7).
+	Ordered bool
 }
 
 // Queries lists SQ1–SQ7 in paper order.
 func Queries() []Query {
 	return []Query{
 		{Name: "SQ1", Run: IS1, ParamKind: "person"},
-		{Name: "SQ2", Run: IS2, ParamKind: "person"},
-		{Name: "SQ3", Run: IS3, ParamKind: "person"},
+		{Name: "SQ2", Run: IS2, ParamKind: "person", Ordered: true},
+		{Name: "SQ3", Run: IS3, ParamKind: "person", Ordered: true},
 		{Name: "SQ4", Run: IS4, ParamKind: "message"},
 		{Name: "SQ5", Run: IS5, ParamKind: "message"},
 		{Name: "SQ6", Run: IS6, ParamKind: "message"},
-		{Name: "SQ7", Run: IS7, ParamKind: "message"},
+		{Name: "SQ7", Run: IS7, ParamKind: "message", Ordered: true},
 	}
 }
 
