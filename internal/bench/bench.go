@@ -161,12 +161,15 @@ func Compare(e *Env, ops []Op) []Workload {
 // MemoryReport quantifies the paper's memory-overhead claim: the indexed
 // representation's bytes relative to the vanilla columnar cache.
 type MemoryReport struct {
-	ColumnarBytes   int64
-	BatchBytes      int64 // reserved row-batch bytes
-	DataBytes       int64 // encoded row payloads
-	IndexBytes      int64 // Ctrie estimate
-	IndexedCopies   int
-	OverheadPerCopy float64 // (data+index) / columnar
+	ColumnarBytes int64
+	BatchBytes    int64 // reserved row-batch bytes
+	DataBytes     int64 // encoded row payloads
+	IndexBytes    int64 // Ctrie estimate
+	IndexedCopies int
+	// OverheadPerCopy is (batch+index) / columnar: what the indexed copy
+	// actually holds — its reserved row batches, including their unused
+	// tails, plus the Ctrie — per byte of columnar cache.
+	OverheadPerCopy float64
 }
 
 // Memory computes the report for the knows table (the Figure 2 subject).
@@ -183,7 +186,7 @@ func Memory(e *Env) MemoryReport {
 	}
 	r.IndexedCopies = 1
 	if r.ColumnarBytes > 0 {
-		r.OverheadPerCopy = float64(r.DataBytes+r.IndexBytes) / float64(r.ColumnarBytes)
+		r.OverheadPerCopy = float64(r.BatchBytes+r.IndexBytes) / float64(r.ColumnarBytes)
 	}
 	return r
 }

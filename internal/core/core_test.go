@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"indexeddf/internal/ctrie"
+	"indexeddf/internal/rowbatch"
 	"indexeddf/internal/sqltypes"
 )
 
@@ -359,5 +362,28 @@ func TestQuickAppendLookup(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIndexBytesEstimate keeps MemoryUsage's per-key Ctrie estimate
+// honest: it must be within 20% of the live heap a 200k-key BIGINT index
+// actually holds after a GC.
+func TestIndexBytesEstimate(t *testing.T) {
+	const keys = 200_000
+	hasher := func(v sqltypes.Value) uint64 { return mix64(v.Hash64()) }
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	idx := ctrie.New[sqltypes.Value, rowbatch.Ptr](hasher)
+	for i := 0; i < keys; i++ {
+		idx.Insert(sqltypes.NewInt64(int64(i)), rowbatch.Ptr(i+1))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(idx)
+	measured := float64(int64(ms.HeapAlloc)-int64(before)) / keys
+	if lo, hi := 0.8*measured, 1.2*measured; indexBytesPerKey < lo || indexBytesPerKey > hi {
+		t.Fatalf("indexBytesPerKey = %d, want within 20%% of measured %.1f B/key", indexBytesPerKey, measured)
 	}
 }

@@ -21,8 +21,9 @@ import (
 type Options struct {
 	// NumPartitions is the hash-partition count (default 4).
 	NumPartitions int
-	// BatchSize is the row-batch size in bytes (default 4 MB, the paper's
-	// value).
+	// BatchSize is the largest row-batch size in bytes (default 4 MB, the
+	// paper's value). Each partition's batches ramp up to it from 64 KiB,
+	// doubling per batch, so small partitions reserve little.
 	BatchSize int
 }
 
@@ -332,11 +333,15 @@ func (t *IndexedTable) MemoryUsage() (batchBytes, dataBytes, indexBytes int64) {
 		batchBytes += p.batches.MemoryUsage()
 		dataBytes += p.batches.DataBytes()
 	}
-	// Ctrie node estimate: ~80 bytes per binding (sNode + its share of
-	// cNode array slots and iNodes), measured empirically on this runtime.
-	indexBytes = t.DistinctKeys() * 80
+	indexBytes = t.DistinctKeys() * indexBytesPerKey
 	return batchBytes, dataBytes, indexBytes
 }
+
+// indexBytesPerKey estimates the Ctrie's live heap per distinct key: the
+// sNode holding the key and row pointer, plus its share of cNode arrays
+// and iNodes. TestIndexBytesEstimate measures it: 117 B per BIGINT key at
+// 200k keys on go1.24 (~87 B at 1k keys, where the trie is shallower).
+const indexBytesPerKey = 117
 
 // Codec exposes the table's row codec (used by scans to decode rows).
 func (t *IndexedTable) Codec() *sqltypes.RowCodec { return t.codec }

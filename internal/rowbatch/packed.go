@@ -7,6 +7,15 @@
 // 64-bit number identifying the latest row for that key, and every row
 // carries a backward pointer to the previous row sharing its key, forming
 // one linked list per distinct key.
+//
+// Batches are not all 4 MB here: a Set's first batch holds 64 KiB and each
+// later one doubles the previous capacity until it reaches the Set's batch
+// size (DefaultBatchSize, the paper's 4 MB, unless configured). While it
+// ramps, a partition therefore reserves at most about twice its data plus
+// 64 KiB rather than a whole 4 MB batch; after that it wastes at most its
+// last, partly filled batch.
+// Pointers, watermarks and scans depend only on each batch's written
+// prefix, never on its capacity.
 package rowbatch
 
 import "fmt"

@@ -8,8 +8,17 @@ import (
 )
 
 // DefaultBatchSize is the paper's 4 MB row-batch size (minus slack so every
-// record offset stays addressable by the 22-bit packed offset field).
+// record offset stays addressable by the 22-bit packed offset field). It is
+// the largest batch a Set allocates; smaller partitions stop short of it on
+// the ramp (see firstBatchSize).
 const DefaultBatchSize = 4<<20 - 64
+
+// firstBatchSize is the capacity of a Set's first batch (capped at the
+// Set's batch size). Each later batch doubles the previous one's capacity
+// up to the batch size, so a partition reserves at most about twice its
+// data plus firstBatchSize until it reaches full-size batches, instead of
+// a whole 4 MB batch for its first row.
+const firstBatchSize = 64 << 10
 
 // recordHeader is the per-record overhead: an 8-byte backward pointer and a
 // 4-byte payload length.
@@ -40,8 +49,8 @@ type Set struct {
 	bytes     atomic.Int64
 }
 
-// NewSet returns an empty Set with the given batch size; sizes outside
-// (recordHeader, MaxBatchBytes] fall back to DefaultBatchSize.
+// NewSet returns an empty Set whose largest batch is batchSize bytes; sizes
+// outside (recordHeader, MaxBatchBytes] fall back to DefaultBatchSize.
 func NewSet(batchSize int) *Set {
 	if batchSize <= recordHeader || batchSize > MaxBatchBytes {
 		batchSize = DefaultBatchSize
@@ -51,7 +60,7 @@ func NewSet(batchSize int) *Set {
 	return s
 }
 
-// BatchSize returns the configured batch size in bytes.
+// BatchSize returns the configured (largest) batch size in bytes.
 func (s *Set) BatchSize() int { return s.batchSize }
 
 // NumRows returns the number of rows ever appended.
@@ -91,7 +100,7 @@ func (s *Set) Append(prev Ptr, payload []byte) (Ptr, error) {
 	var b *batch
 	if n := len(d.batches); n > 0 {
 		last := d.batches[n-1]
-		if int(last.used.Load())+rec <= s.batchSize {
+		if int(last.used.Load())+rec <= len(last.buf) {
 			b = last
 		}
 	}
@@ -99,7 +108,7 @@ func (s *Set) Append(prev Ptr, payload []byte) (Ptr, error) {
 		if len(d.batches) >= MaxBatches {
 			return Nil, fmt.Errorf("rowbatch: partition exceeds %d batches", MaxBatches)
 		}
-		b = &batch{buf: make([]byte, s.batchSize)}
+		b = &batch{buf: make([]byte, s.nextBatchSize(d, rec))}
 		nd := &directory{batches: make([]*batch, len(d.batches)+1)}
 		copy(nd.batches, d.batches)
 		nd.batches[len(d.batches)] = b
@@ -116,6 +125,17 @@ func (s *Set) Append(prev Ptr, payload []byte) (Ptr, error) {
 	s.rows.Add(1)
 	s.bytes.Add(int64(rec))
 	return MakePtr(len(d.batches)-1, off, len(payload))
+}
+
+// nextBatchSize is the capacity of the batch appended after d's last one:
+// firstBatchSize, then double the previous capacity, capped at the Set's
+// batch size, and never smaller than the record that must fit.
+func (s *Set) nextBatchSize(d *directory, rec int) int {
+	size := firstBatchSize
+	if n := len(d.batches); n > 0 {
+		size = 2 * len(d.batches[n-1].buf)
+	}
+	return max(min(size, s.batchSize), rec)
 }
 
 // Read dereferences a packed pointer, returning the record's backward

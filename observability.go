@@ -3,6 +3,7 @@ package indexeddf
 import (
 	"time"
 
+	"indexeddf/internal/catalog"
 	"indexeddf/internal/faultpoint"
 	"indexeddf/internal/obs"
 	"indexeddf/internal/view"
@@ -116,6 +117,28 @@ func (s *Session) initObservability() {
 	m.Gauge("indexeddf_memory_pool_active_queries", "Queries admitted to the memory pool.", func() float64 {
 		return float64(s.mem.Active())
 	})
+
+	// Indexed-table storage (core.IndexedTable.MemoryUsage), summed over
+	// the catalog's indexed tables at scrape time.
+	indexStorage := func(pick func(reserved, data, index int64) int64) func() float64 {
+		return func() float64 {
+			s.mu.RLock()
+			defer s.mu.RUnlock()
+			var total int64
+			for _, t := range s.tables {
+				if it, ok := t.(*catalog.IndexedTable); ok {
+					total += pick(it.Core().MemoryUsage())
+				}
+			}
+			return float64(total)
+		}
+	}
+	m.Gauge("indexeddf_index_storage_reserved_bytes", "Row-batch bytes reserved by indexed tables.",
+		indexStorage(func(reserved, _, _ int64) int64 { return reserved }))
+	m.Gauge("indexeddf_index_storage_data_bytes", "Encoded row bytes written to indexed tables' row batches.",
+		indexStorage(func(_, data, _ int64) int64 { return data }))
+	m.Gauge("indexeddf_index_storage_index_bytes", "Estimated Ctrie bytes of indexed tables.",
+		indexStorage(func(_, _, index int64) int64 { return index }))
 
 	// Spill fabric (all zero — and the gauge absent cost aside — when
 	// Config.SpillDir is unset; the accessors are nil-safe).

@@ -341,10 +341,22 @@ func TestSlowQueryLogFires(t *testing.T) {
 }
 
 // TestMetricsExposition: the registry renders valid Prometheus text with
-// the engine's metric families present.
+// the engine's metric families present, and the indexed-storage gauges
+// report what the catalog's indexed tables hold after an append.
 func TestMetricsExposition(t *testing.T) {
 	s := newObsSession(t, Config{TablePartitions: 4}, 1_000)
 	if _, err := s.MustSQL("SELECT COUNT(*) FROM t").Collect(); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := s.CreateIndexedTable("ti", bigSchema(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]Row, 500)
+	for i := range rows {
+		rows[i] = R(int64(i%250), int64(i))
+	}
+	if _, err := idx.AppendRowsSlice(rows); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -367,4 +379,33 @@ func TestMetricsExposition(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
+	reserved, data, index := idx.IndexedCore().MemoryUsage()
+	if data <= 0 || reserved < data || index <= 0 {
+		t.Fatalf("indexed storage after append: reserved %d data %d index %d", reserved, data, index)
+	}
+	for name, want := range map[string]int64{
+		"indexeddf_index_storage_reserved_bytes": reserved,
+		"indexeddf_index_storage_data_bytes":     data,
+		"indexeddf_index_storage_index_bytes":    index,
+	} {
+		if got := gaugeValue(t, out, name); got != float64(want) {
+			t.Errorf("%s = %v, want %d", name, got, want)
+		}
+	}
+}
+
+// gaugeValue parses an unlabelled sample's value out of an exposition.
+func gaugeValue(t *testing.T, exposition, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("exposition missing %s:\n%s", name, exposition)
+	return 0
 }

@@ -48,8 +48,9 @@ type Config struct {
 	// TablePartitions is the partition count for created tables and
 	// indexes (default 4).
 	TablePartitions int
-	// IndexBatchSize is the row-batch size for indexed tables in bytes
-	// (default 4 MB, the paper's value).
+	// IndexBatchSize is the largest row-batch size for indexed tables in
+	// bytes (default 4 MB, the paper's value). Batches ramp up to it from
+	// 64 KiB, doubling per batch.
 	IndexBatchSize int
 	// DisableVectorized forces row-at-a-time execution, turning off the
 	// batch-at-a-time operator rewrite (benchmarks compare both engines).
