@@ -119,6 +119,7 @@ func (t *IndexedTable) logDeleteLocked(part *Partition, key sqltypes.Value, rows
 func (t *IndexedTable) invalidateLogLocked(part *Partition) {
 	part.log.floor = part.log.mark() + 1
 	part.log.entries = nil
+	part.seq++
 }
 
 // ChangesBetween returns partition p's change records with sequence numbers

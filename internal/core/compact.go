@@ -81,6 +81,8 @@ func (t *IndexedTable) compactPartition(pi int, part *Partition, onlyNewest bool
 	part.batches = newBatches
 	part.keys.Store(keys)
 	part.deletes = 0 // rebuilt batches hold only index-reachable rows
+	part.seq++
+	part.snap = partSnapshot{} // free the old index and batches once no query pins them
 	t.rows.Add(kept - total)
 	if total != kept && t.capture.enabled.Load() {
 		// Compaction rewrites content without producing change records

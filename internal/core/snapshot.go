@@ -19,6 +19,8 @@ type Snapshot struct {
 	parts   []partSnapshot
 }
 
+// partSnapshot is one partition's frozen view. It is immutable once taken
+// and may be shared by any number of Snapshots.
 type partSnapshot struct {
 	index   *ctrie.Ctrie[sqltypes.Value, rowbatch.Ptr]
 	marks   []int64
@@ -37,8 +39,10 @@ type partSnapshot struct {
 	deletes int64
 }
 
-// Snapshot pins the table's current state. Cost is O(partitions), each
-// partition contributing an O(1) Ctrie snapshot and a watermark read.
+// Snapshot pins the table's current state. Cost is O(partitions): each
+// partition that changed since the last snapshot contributes an O(1) Ctrie
+// snapshot and a watermark read; an unchanged one hands out the view it
+// froze last time.
 func (t *IndexedTable) Snapshot() *Snapshot {
 	s := &Snapshot{
 		table:   t,
@@ -47,20 +51,35 @@ func (t *IndexedTable) Snapshot() *Snapshot {
 	}
 	for i, p := range t.parts {
 		p.mu.Lock() // pin a consistent (index, batches) pair across Compact
-		changeMark := int64(-1)
-		if t.capture.enabled.Load() {
-			changeMark = p.log.mark()
-		}
-		s.parts[i] = partSnapshot{
-			index:      p.index.ReadOnlySnapshot(),
-			marks:      p.batches.Watermarks(),
-			batches:    p.batches,
-			changeMark: changeMark,
-			deletes:    p.deletes,
-		}
+		s.parts[i] = p.snapshotLocked(t.capture.enabled.Load())
 		p.mu.Unlock()
 	}
 	return s
+}
+
+// snapshotLocked freezes the partition's current view. Every content change
+// bumps p.seq under p.mu, so when seq still equals the cached view's
+// sequence a fresh snapshot would hold exactly the cached index content,
+// watermarks and delete count; the change mark is compared too because
+// toggling change capture alters it without touching content. Caller holds
+// p.mu.
+func (p *Partition) snapshotLocked(capture bool) partSnapshot {
+	changeMark := int64(-1)
+	if capture {
+		changeMark = p.log.mark()
+	}
+	if p.snap.index != nil && p.snapSeq == p.seq && p.snap.changeMark == changeMark {
+		return p.snap
+	}
+	p.snap = partSnapshot{
+		index:      p.index.ReadOnlySnapshot(),
+		marks:      p.batches.Watermarks(),
+		batches:    p.batches,
+		changeMark: changeMark,
+		deletes:    p.deletes,
+	}
+	p.snapSeq = p.seq
+	return p.snap
 }
 
 // ChangeMark returns partition p's change-log sequence at snapshot time,

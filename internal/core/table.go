@@ -50,6 +50,13 @@ type Partition struct {
 	// scans may walk batches in append order; otherwise they walk the
 	// index so unreachable (deleted) rows stay invisible to queries.
 	deletes int64
+	// seq counts content changes (guarded by mu): appends that applied a
+	// row, deletes that removed a key, compaction swaps and change-log
+	// invalidations. snap is the view last frozen, at sequence snapSeq
+	// (zero index: none); Snapshot reuses it while seq is unchanged.
+	seq     uint64
+	snap    partSnapshot
+	snapSeq uint64
 }
 
 // IndexedTable is the Indexed DataFrame's storage: a set of indexed
@@ -257,6 +264,9 @@ func (t *IndexedTable) appendToPartition(p int, rows []sqltypes.Row) (logged boo
 		t.rows.Add(1)
 		applied++
 	}
+	if applied > 0 {
+		part.seq++
+	}
 	if err != nil {
 		if applied > 0 {
 			if capture {
@@ -305,6 +315,7 @@ func (t *IndexedTable) Delete(key sqltypes.Value) bool {
 	if removed {
 		p.keys.Add(-1)
 		p.deletes++
+		p.seq++
 		if capture {
 			t.logDeleteLocked(p, key, removedRows)
 		} else {

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"strings"
 
 	"indexeddf/internal/sqltypes"
 )
@@ -10,25 +11,27 @@ import (
 // rebuilt node.
 func Transform(e Expr, fn func(Expr) (Expr, error)) (Expr, error) {
 	children := e.Children()
-	if len(children) > 0 {
-		newChildren := make([]Expr, len(children))
-		changed := false
-		for i, c := range children {
-			nc, err := Transform(c, fn)
-			if err != nil {
-				return nil, err
-			}
-			newChildren[i] = nc
-			if nc != c {
-				changed = true
-			}
+	// newChildren stays nil until a child changes, so passes that rewrite
+	// nothing copy nothing.
+	var newChildren []Expr
+	for i, c := range children {
+		nc, err := Transform(c, fn)
+		if err != nil {
+			return nil, err
 		}
-		if changed {
-			var err error
-			e, err = e.WithChildren(newChildren)
-			if err != nil {
-				return nil, err
-			}
+		if newChildren == nil && nc != c {
+			newChildren = make([]Expr, len(children))
+			copy(newChildren, children[:i])
+		}
+		if newChildren != nil {
+			newChildren[i] = nc
+		}
+	}
+	if newChildren != nil {
+		var err error
+		e, err = e.WithChildren(newChildren)
+		if err != nil {
+			return nil, err
 		}
 	}
 	return fn(e)
@@ -54,6 +57,9 @@ func Bind(e Expr, schema *sqltypes.Schema) (Expr, error) {
 		}
 		i := schema.IndexOf(c.Name)
 		if i < 0 {
+			if names := schema.Ambiguous(c.Name); names != nil {
+				return nil, fmt.Errorf("expr: column %q is ambiguous (%s)", c.Name, strings.Join(names, ", "))
+			}
 			return nil, fmt.Errorf("expr: column %q not found in %s", c.Name, schema)
 		}
 		f := schema.Field(i)

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -332,5 +333,42 @@ func TestStringRendering(t *testing.T) {
 	want := "((id = 1) AND (name <> 'x'))"
 	if e.String() != want {
 		t.Errorf("String = %q, want %q", e.String(), want)
+	}
+}
+
+func TestTransformIdentityCopiesNothing(t *testing.T) {
+	e := And(NewCmp(Eq, C("id"), LitInt64(7)), NewNot(NewCmp(Gt, NewArith(Add, C("score"), LitInt64(1)), C("id"))))
+	identity := func(n Expr) (Expr, error) { return n, nil }
+	out, err := Transform(e, identity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != Expr(e) {
+		t.Fatalf("identity Transform returned a new root %p, want %p", out, e)
+	}
+	var walk func(Expr)
+	walk = func(n Expr) {
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	children := testing.AllocsPerRun(100, func() { walk(e) })
+	transform := testing.AllocsPerRun(100, func() { _, _ = Transform(e, identity) })
+	if transform > children {
+		t.Fatalf("identity Transform allocates %.0f times, Children() alone %.0f", transform, children)
+	}
+}
+
+func TestBindReportsAmbiguousColumn(t *testing.T) {
+	s := sqltypes.NewSchema(
+		sqltypes.Field{Name: "p1.id", Type: sqltypes.Int64},
+		sqltypes.Field{Name: "p2.id", Type: sqltypes.Int64},
+	)
+	_, err := Bind(C("id"), s)
+	if err == nil || err.Error() != `expr: column "id" is ambiguous (p1.id, p2.id)` {
+		t.Fatalf("ambiguous id: %v", err)
+	}
+	if _, err := Bind(C("name"), s); err == nil || !strings.Contains(err.Error(), `column "name" not found`) {
+		t.Fatalf("missing name: %v", err)
 	}
 }

@@ -289,6 +289,9 @@ type QueryStats struct {
 	spillRuns      atomic.Int64
 
 	tracer *Tracer
+	// labels is the query_id pprof label set, built once so per-task Do
+	// calls do not rebuild it.
+	labels pprof.LabelSet
 
 	mu  sync.Mutex
 	ops []*OpStats
@@ -297,7 +300,8 @@ type QueryStats struct {
 // NewQueryStats builds a collector for one query. tracer may be nil (events
 // are dropped).
 func NewQueryStats(id, sql string, tracer *Tracer) *QueryStats {
-	return &QueryStats{ID: id, SQL: sql, Start: time.Now(), tracer: tracer}
+	return &QueryStats{ID: id, SQL: sql, Start: time.Now(), tracer: tracer,
+		labels: pprof.Labels("query_id", id)}
 }
 
 // Op registers and returns a fresh per-operator collector under label.
@@ -460,11 +464,11 @@ func (q *QueryStats) Do(ctx context.Context, operator string, fn func(context.Co
 		fn(ctx)
 		return
 	}
-	labels := []string{"query_id", q.ID}
+	labels := q.labels
 	if operator != "" {
-		labels = append(labels, "operator", operator)
+		labels = pprof.Labels("query_id", q.ID, "operator", operator)
 	}
-	pprof.Do(ctx, pprof.Labels(labels...), fn)
+	pprof.Do(ctx, labels, fn)
 }
 
 // String summarizes the query account (footers, slow-query log lines).

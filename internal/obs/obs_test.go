@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -208,5 +209,28 @@ func TestContextPlumbing(t *testing.T) {
 	}
 	if WithQuery(context.Background(), nil) != context.Background() {
 		t.Fatal("nil stats must not wrap the context")
+	}
+}
+
+func TestQueryStatsDoLabels(t *testing.T) {
+	q := NewQueryStats("q7", "", nil)
+	for _, op := range []string{"", "VecHashAgg"} {
+		ran := false
+		q.Do(context.Background(), op, func(ctx context.Context) {
+			ran = true
+			if id, ok := pprof.Label(ctx, "query_id"); !ok || id != "q7" {
+				t.Errorf("operator %q: query_id label = %q/%v, want q7", op, id, ok)
+			}
+			got, ok := pprof.Label(ctx, "operator")
+			if op == "" && ok {
+				t.Errorf("no operator: operator label %q set", got)
+			}
+			if op != "" && (!ok || got != op) {
+				t.Errorf("operator label = %q/%v, want %q", got, ok, op)
+			}
+		})
+		if !ran {
+			t.Fatalf("operator %q: fn not run", op)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"time"
@@ -107,14 +108,23 @@ func (ec *ExecContext) OpStats(e Exec) *obs.OpStats {
 }
 
 // opName derives the operator's short label from its concrete type:
-// *physical.VecHashAggExec -> "VecHashAgg".
+// *physical.VecHashAggExec -> "VecHashAgg". Labels are memoized per type
+// in opNames, since every instrumented operator of every query asks.
 func opName(e Exec) string {
-	name := fmt.Sprintf("%T", e)
+	t := reflect.TypeOf(e)
+	if name, ok := opNames.Load(t); ok {
+		return name.(string)
+	}
+	name := t.String()
 	if i := strings.LastIndexByte(name, '.'); i >= 0 {
 		name = name[i+1:]
 	}
-	return strings.TrimSuffix(name, "Exec")
+	name = strings.TrimSuffix(name, "Exec")
+	opNames.Store(t, name)
+	return name
 }
+
+var opNames sync.Map // reflect.Type -> string
 
 // AnalyzeString renders the plan as an indented tree with each operator's
 // collected runtime numbers appended — the EXPLAIN ANALYZE body. Operators

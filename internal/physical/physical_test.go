@@ -383,3 +383,49 @@ func TestNormalizeKeyAndEncodeValues(t *testing.T) {
 		t.Fatal("NULL collides with zero")
 	}
 }
+
+// TestOpNameLabels pins the operator label of every Exec type: the
+// memoized label must be exactly the type name without "Exec", on the
+// first (uncached) and later (cached) calls alike.
+func TestOpNameLabels(t *testing.T) {
+	cases := []struct {
+		e    Exec
+		want string
+	}{
+		{&BroadcastHashJoinExec{}, "BroadcastHashJoin"},
+		{&ColumnarScanExec{}, "ColumnarScan"},
+		{&ExchangeExec{}, "Exchange"},
+		{&FilterExec{}, "Filter"},
+		{&HashAggExec{}, "HashAgg"},
+		{&IndexLookupExec{}, "IndexLookup"},
+		{&IndexedJoinExec{}, "IndexedJoin"},
+		{&IndexedScanExec{}, "IndexedScan"},
+		{&LimitExec{}, "Limit"},
+		{&NestedLoopJoinExec{}, "NestedLoopJoin"},
+		{&ProjectExec{}, "Project"},
+		{&ShuffleHashJoinExec{}, "ShuffleHashJoin"},
+		{&SortExec{}, "Sort"},
+		{&UnionExec{}, "Union"},
+		{&ValuesExec{}, "Values"},
+		{&VecBroadcastHashJoinExec{}, "VecBroadcastHashJoin"},
+		{&VecColumnarScanExec{}, "VecColumnarScan"},
+		{&VecExchangeExec{}, "VecExchange"},
+		{&VecFilterExec{}, "VecFilter"},
+		{&VecHashAggExec{}, "VecHashAgg"},
+		{&VecIndexedJoinExec{}, "VecIndexedJoin"},
+		{&VecIndexedScanExec{}, "VecIndexedScan"},
+		{&VecProjectExec{}, "VecProject"},
+		{&VecShuffleHashJoinExec{}, "VecShuffleHashJoin"},
+		{&VecSortExec{}, "VecSort"},
+		{&VecTopNExec{}, "VecTopN"},
+		{&VecViewScanExec{}, "VecViewScan"},
+		{&ViewScanExec{}, "ViewScan"},
+	}
+	for _, tc := range cases {
+		for call := 0; call < 2; call++ {
+			if got := opName(tc.e); got != tc.want {
+				t.Errorf("opName(%T) call %d = %q, want %q", tc.e, call, got, tc.want)
+			}
+		}
+	}
+}

@@ -671,25 +671,27 @@ func TreeString(n Node) string {
 // Transform rewrites the plan bottom-up.
 func Transform(n Node, fn func(Node) (Node, error)) (Node, error) {
 	children := n.Children()
-	if len(children) > 0 {
-		newChildren := make([]Node, len(children))
-		changed := false
-		for i, c := range children {
-			nc, err := Transform(c, fn)
-			if err != nil {
-				return nil, err
-			}
-			newChildren[i] = nc
-			if nc != c {
-				changed = true
-			}
+	// newChildren stays nil until a child changes, so passes that rewrite
+	// nothing copy nothing.
+	var newChildren []Node
+	for i, c := range children {
+		nc, err := Transform(c, fn)
+		if err != nil {
+			return nil, err
 		}
-		if changed {
-			var err error
-			n, err = n.WithChildren(newChildren)
-			if err != nil {
-				return nil, err
-			}
+		if newChildren == nil && nc != c {
+			newChildren = make([]Node, len(children))
+			copy(newChildren, children[:i])
+		}
+		if newChildren != nil {
+			newChildren[i] = nc
+		}
+	}
+	if newChildren != nil {
+		var err error
+		n, err = n.WithChildren(newChildren)
+		if err != nil {
+			return nil, err
 		}
 	}
 	return fn(n)

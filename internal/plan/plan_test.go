@@ -170,3 +170,28 @@ func TestOutputName(t *testing.T) {
 		t.Fatal("generated name")
 	}
 }
+
+func TestTransformIdentityCopiesNothing(t *testing.T) {
+	b := expr.B(0, sqltypes.Int64, "id")
+	join := NewJoin(InnerJoin, NewRelation(table("l", 10), ""), NewRelation(table("r", 10), ""), nil)
+	p := NewLimit(5, NewProject([]expr.Expr{b}, NewFilter(expr.NewCmp(expr.Gt, b, expr.LitInt64(1)), join)))
+	identity := func(n Node) (Node, error) { return n, nil }
+	out, err := Transform(p, identity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != Node(p) {
+		t.Fatalf("identity Transform returned a new root %p, want %p", out, p)
+	}
+	var walk func(Node)
+	walk = func(n Node) {
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	children := testing.AllocsPerRun(100, func() { walk(p) })
+	transform := testing.AllocsPerRun(100, func() { _, _ = Transform(p, identity) })
+	if transform > children {
+		t.Fatalf("identity Transform allocates %.0f times, Children() alone %.0f", transform, children)
+	}
+}

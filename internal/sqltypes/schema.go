@@ -45,20 +45,25 @@ func (s *Schema) String() string {
 
 // IndexOf returns the ordinal of the column with the given name
 // (case-insensitive), or -1 when absent. Names may be qualified as
-// "table.col"; an unqualified lookup matches the suffix.
+// "table.col"; an unqualified lookup matches the suffix, and is -1 when
+// the suffix matches more than one field (ambiguous).
+//
+// Names are compared by byte length before case folding, so a name and a
+// field only match when their UTF-8 encodings are equally long: ASCII and
+// most other letters fold within one length, but the Kelvin sign does not
+// match "k". The length test keeps lookups cheap on wide join schemas.
 func (s *Schema) IndexOf(name string) int {
 	// Exact (case-insensitive) match first.
 	for i, f := range s.Fields {
-		if strings.EqualFold(f.Name, name) {
+		if len(f.Name) == len(name) && strings.EqualFold(f.Name, name) {
 			return i
 		}
 	}
 	// Unqualified name matching a qualified field, e.g. "id" vs "person.id".
-	if !strings.Contains(name, ".") {
+	if strings.IndexByte(name, '.') < 0 {
 		found := -1
 		for i, f := range s.Fields {
-			if dot := strings.LastIndexByte(f.Name, '.'); dot >= 0 &&
-				strings.EqualFold(f.Name[dot+1:], name) {
+			if qualifies(f.Name, name) {
 				if found >= 0 {
 					return -1 // ambiguous
 				}
@@ -68,6 +73,33 @@ func (s *Schema) IndexOf(name string) int {
 		return found
 	}
 	return -1
+}
+
+// Ambiguous returns the qualified field names an unqualified name matches
+// when it matches more than one (IndexOf's ambiguous -1), or nil. Callers
+// use it on their error path to tell an ambiguous name from a missing one.
+func (s *Schema) Ambiguous(name string) []string {
+	if strings.IndexByte(name, '.') >= 0 {
+		return nil
+	}
+	var names []string
+	for _, f := range s.Fields {
+		if qualifies(f.Name, name) {
+			names = append(names, f.Name)
+		}
+	}
+	if len(names) < 2 {
+		return nil
+	}
+	return names
+}
+
+// qualifies reports whether field is a qualified name whose last component
+// is the dot-free name: that component is as long as name and follows the
+// dot at len(field)-len(name)-1.
+func qualifies(field, name string) bool {
+	d := len(field) - len(name) - 1
+	return d >= 0 && field[d] == '.' && strings.EqualFold(field[d+1:], name)
 }
 
 // Field returns the field at ordinal i.

@@ -400,3 +400,56 @@ func TestRowHelpersAndSliceIter(t *testing.T) {
 		t.Errorf("Row.String() = %q", r.String())
 	}
 }
+
+func TestSchemaIndexOf(t *testing.T) {
+	s := NewSchema(
+		Field{Name: "plain", Type: Int64},
+		Field{Name: "p1.id", Type: Int64},
+		Field{Name: "p1.name", Type: String},
+		Field{Name: "p2.id", Type: Int64},
+		Field{Name: "p2.xid", Type: Int64},
+		Field{Name: "a.b.city", Type: String},
+		Field{Name: "Kelvin", Type: Int64},
+	)
+	cases := []struct {
+		name string
+		want int
+	}{
+		{"plain", 0},        // exact
+		{"PLAIN", 0},        // case-insensitive
+		{"p1.id", 1},        // qualified
+		{"P2.ID", 3},        // qualified, case-insensitive
+		{"name", 2},         // unqualified suffix
+		{"NAME", 2},         // unqualified suffix, case-insensitive
+		{"id", -1},          // ambiguous: p1.id and p2.id
+		{"xid", 4},          // xid matches only p2.xid ...
+		{"d", -1},           // ... and a suffix must follow the dot
+		{"city", 5},         // multi-dot: last component
+		{"b.city", -1},      // dotted names match whole fields only
+		{"a.b.city", 5},     // multi-dot, exact
+		{"p3.id", -1},       // qualified names never match by suffix
+		{"missing", -1},     // absent
+		{"plai", -1},        // prefix of a field
+		{"\u212Aelvin", -1}, // the Kelvin sign folds to k but is 3 bytes long
+		{"kelvin", 6},       // same length, case-insensitive
+		{"", -1},            // empty
+		{"1.id", -1},        // the qualifier must be whole
+	}
+	for _, tc := range cases {
+		if got := s.IndexOf(tc.name); got != tc.want {
+			t.Errorf("IndexOf(%q) = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	// "t.xid" ends in "id" but not in ".id", so "id" is not ambiguous.
+	if got := NewSchema(Field{Name: "t.xid"}, Field{Name: "t.id"}).IndexOf("id"); got != 1 {
+		t.Errorf("IndexOf(id) over (t.xid, t.id) = %d, want 1", got)
+	}
+	if got := s.Ambiguous("id"); len(got) != 2 || got[0] != "p1.id" || got[1] != "p2.id" {
+		t.Errorf("Ambiguous(id) = %v", got)
+	}
+	for _, name := range []string{"name", "missing", "p1.id"} {
+		if got := s.Ambiguous(name); got != nil {
+			t.Errorf("Ambiguous(%q) = %v, want nil", name, got)
+		}
+	}
+}

@@ -236,3 +236,29 @@ func TestSQLComments(t *testing.T) {
 		t.Fatalf("comment query = %d, %v", n, err)
 	}
 }
+
+// TestSQLAmbiguousColumnIsReported checks that an unqualified column
+// present on both sides of a self-join is reported as ambiguous, naming
+// the candidates, while a column on neither side is still "not found".
+func TestSQLAmbiguousColumnIsReported(t *testing.T) {
+	s, _, _ := newTestSession(t)
+	run := func(q string) error {
+		df, err := s.SQL(q)
+		if err != nil {
+			return err
+		}
+		_, err = df.Collect()
+		return err
+	}
+	err := run("SELECT id FROM person p1 JOIN person p2 ON p1.id = p2.id")
+	if err == nil {
+		t.Fatal("ambiguous column accepted")
+	}
+	if want := `column "id" is ambiguous (p1.id, p2.id)`; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not contain %q", err, want)
+	}
+	err = run("SELECT nosuch FROM person p1 JOIN person p2 ON p1.id = p2.id")
+	if err == nil || !strings.Contains(err.Error(), `column "nosuch" not found`) {
+		t.Fatalf("missing column: error %v, want not found", err)
+	}
+}
