@@ -10,6 +10,7 @@ import (
 	"indexeddf"
 	"indexeddf/internal/bench"
 	"indexeddf/internal/catalog"
+	"indexeddf/internal/obs"
 )
 
 // figure is one -fig experiment: workloads whose arms are timed one after
@@ -54,9 +55,12 @@ func figures(sf float64, seed int64) []figure {
 			groupedKV(1_000_000, 100_000),
 			[]kvArm{{"acct", indexeddf.Config{MemoryLimit: 4 << 30, QueryMemoryLimit: 2 << 30}}, {"bare", indexeddf.Config{}}},
 			kvQuery{sql: topGroupsQuery, ordered: true}),
-		kvFigure("obs", "Observability overhead: per-operator stats on vs off, 1M-row GROUP BY + top-n pipeline",
+		// The obs arm sizes the trace ring, so every query records full
+		// detail; the default config records counters only.
+		kvFigure("obs", "Observability overhead: full detail (operator stats, trace ring) vs off, 1M-row GROUP BY + top-n pipeline",
 			groupedKV(1_000_000, 100_000),
-			[]kvArm{{"obs", indexeddf.Config{}}, {"bare", indexeddf.Config{DisableObservability: true}}},
+			[]kvArm{{"obs", indexeddf.Config{TraceCapacity: obs.DefaultTraceCapacity}},
+				{"bare", indexeddf.Config{DisableObservability: true}}},
 			kvQuery{sql: topGroupsQuery, ordered: true}),
 		spillFigure(),
 		adaptFigure(),

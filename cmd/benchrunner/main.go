@@ -8,7 +8,7 @@
 //	benchrunner -fig shuffle  batch (columnar) exchange vs row exchange, 1M-row GROUP BY
 //	benchrunner -fig sort     batch sort & fused top-n vs row sort, 1M-row ORDER BY
 //	benchrunner -fig memacct  memory-accounting overhead — budgets on vs off
-//	benchrunner -fig obs      observability overhead — stats on vs off
+//	benchrunner -fig obs      observability overhead — full detail vs off
 //	benchrunner -fig spill    out-of-core execution — 10x-over-budget parallel sort, spilling GROUP BY, grace join
 //	benchrunner -fig adapt    adaptive filter cascade vs static fused kernel on a mis-ordered WHERE clause
 //	benchrunner -fig all      everything plus the max-speedup summary (§5)

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -158,7 +159,7 @@ func (p *Pool) NextQueryID() string {
 	if p == nil {
 		return "q0"
 	}
-	return fmt.Sprintf("q%d", p.queryID.Add(1))
+	return "q" + strconv.FormatInt(p.queryID.Add(1), 10)
 }
 
 // NewTracker starts per-query accounting against the pool. limit bounds

@@ -178,3 +178,18 @@ func TestLateCallsAfterClose(t *testing.T) {
 		t.Fatalf("pool used = %d, want 0", got)
 	}
 }
+
+// TestNextQueryID pins the query label format: "q" then a session-unique
+// counter starting at 1, and "q0" from a nil pool.
+func TestNextQueryID(t *testing.T) {
+	p := NewPool(0)
+	for _, want := range []string{"q1", "q2", "q3"} {
+		if got := p.NextQueryID(); got != want {
+			t.Fatalf("NextQueryID = %q, want %q", got, want)
+		}
+	}
+	var nilPool *Pool
+	if got := nilPool.NextQueryID(); got != "q0" {
+		t.Fatalf("nil pool NextQueryID = %q, want q0", got)
+	}
+}

@@ -5,7 +5,9 @@
 // disabled path — every collector method is nil-receiver safe, and the
 // iterator wrappers return their input unchanged when handed a nil
 // collector — so execution paths without observability run byte-for-byte
-// the same code they ran before.
+// the same code they ran before. A counters-only QueryStats hands out nil
+// operator collectors, so a query nobody inspects takes that path too while
+// its query-level counters stay live.
 //
 // The collectors are deliberately allocation-free on the hot path: row
 // wrappers buffer counts locally and flush to the shared atomics every
@@ -265,6 +267,13 @@ func (s *OpStats) Selectivity() float64 {
 // It rides the query's context through the scheduler (WithQuery /
 // FromContext); a nil *QueryStats is the disabled path and every method is
 // a no-op.
+//
+// A QueryStats is built either detailed (NewQueryStats) or counters-only
+// (NewQueryCounters). Both keep the query-level counters live. Only a
+// detailed one registers operator collectors (Op), records trace events
+// (Event) and labels CPU samples (Do); a counters-only one returns nil from
+// Op, so its operators take the same nil-handle paths as a query without
+// stats, and its Event and Do cost one branch.
 type QueryStats struct {
 	// ID is the session-unique query label ("q1", "q2", ...).
 	ID string
@@ -288,25 +297,39 @@ type QueryStats struct {
 	spillBytes     atomic.Int64
 	spillRuns      atomic.Int64
 
-	tracer *Tracer
+	detailed bool
+	tracer   *Tracer
 	// labels is the query_id pprof label set, built once so per-task Do
-	// calls do not rebuild it.
+	// calls do not rebuild it (detailed queries only).
 	labels pprof.LabelSet
 
 	mu  sync.Mutex
 	ops []*OpStats
 }
 
-// NewQueryStats builds a collector for one query. tracer may be nil (events
-// are dropped).
+// NewQueryStats builds a detailed collector for one query: operator
+// stats, trace events and pprof labels on top of the counters. tracer may
+// be nil (events are dropped).
 func NewQueryStats(id, sql string, tracer *Tracer) *QueryStats {
-	return &QueryStats{ID: id, SQL: sql, Start: time.Now(), tracer: tracer,
+	return &QueryStats{ID: id, SQL: sql, Start: time.Now(), detailed: true, tracer: tracer,
 		labels: pprof.Labels("query_id", id)}
 }
 
-// Op registers and returns a fresh per-operator collector under label.
+// NewQueryCounters builds a counters-only collector for one query: tasks,
+// shuffle bytes, spill, memory peak, rows returned and phase timings, with
+// no operator stats, trace events or pprof labels.
+func NewQueryCounters(id, sql string) *QueryStats {
+	return &QueryStats{ID: id, SQL: sql, Start: time.Now()}
+}
+
+// Detailed reports whether q records operator stats, trace events and
+// pprof labels. False for a nil or counters-only collector.
+func (q *QueryStats) Detailed() bool { return q != nil && q.detailed }
+
+// Op registers and returns a fresh per-operator collector under label, or
+// nil when q is not detailed.
 func (q *QueryStats) Op(label string) *OpStats {
-	if q == nil {
+	if !q.Detailed() {
 		return nil
 	}
 	st := &OpStats{Label: label}
@@ -449,7 +472,8 @@ func (q *QueryStats) TotalNs() int64 {
 	return q.totalNs.Load()
 }
 
-// Event records a span event for this query into the session tracer.
+// Event records a span event for this query into the session tracer. Only
+// a detailed query holds a tracer; for any other it returns at once.
 func (q *QueryStats) Event(name string, part int, dur time.Duration) {
 	if q == nil || q.tracer == nil {
 		return
@@ -459,8 +483,9 @@ func (q *QueryStats) Event(name string, part int, dur time.Duration) {
 
 // Do runs fn under pprof labels attributing CPU samples to this query (and
 // optionally an operator), so profiles of a busy session split by query_id.
+// A query that is not detailed runs fn directly, unlabelled.
 func (q *QueryStats) Do(ctx context.Context, operator string, fn func(context.Context)) {
-	if q == nil {
+	if !q.Detailed() {
 		fn(ctx)
 		return
 	}

@@ -155,7 +155,7 @@ func fixpointPlans(t *testing.T) map[string]plan.Node {
 // running into the pass cap.
 func TestRulesReturnInputAtFixpoint(t *testing.T) {
 	pl := NewPlanner(DefaultPlannerConfig())
-	rules := pl.rules()
+	rules := pl.rules
 	if got := rules[len(rules)-1].Name; got != "ReorderFilterConjuncts" {
 		t.Fatalf("planner batch ends with %s, want ReorderFilterConjuncts", got)
 	}

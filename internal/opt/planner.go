@@ -54,6 +54,9 @@ func DefaultPlannerConfig() PlannerConfig {
 // Planner lowers optimized logical plans to physical plans.
 type Planner struct {
 	cfg PlannerConfig
+	// rules is the logical rule batch, built once: the package-level rules
+	// plus, when statistics are enabled, the conjunct reorder rule.
+	rules []Rule
 }
 
 // NewPlanner builds a planner.
@@ -67,23 +70,18 @@ func NewPlanner(cfg PlannerConfig) *Planner {
 	if cfg.SortPartitions <= 0 {
 		cfg.SortPartitions = cfg.ShufflePartitions
 	}
-	return &Planner{cfg: cfg}
+	rules := DefaultRules()
+	if !cfg.DisableStats {
+		rules = append(rules, Rule{Name: "ReorderFilterConjuncts", Apply: reorderFilterConjuncts})
+	}
+	return &Planner{cfg: cfg, rules: rules}
 }
 
 // Optimize runs the logical rule batch with the planner's cost model:
 // the package-level rules plus, when statistics are enabled, the
 // conjunct reorder rule (cheapest-most-selective-first filters).
 func (pl *Planner) Optimize(n plan.Node) (plan.Node, error) {
-	return optimizeWith(n, pl.rules())
-}
-
-// rules is the planner's logical rule batch.
-func (pl *Planner) rules() []Rule {
-	rules := DefaultRules()
-	if !pl.cfg.DisableStats {
-		rules = append(rules, Rule{Name: "ReorderFilterConjuncts", Apply: reorderFilterConjuncts})
-	}
-	return rules
+	return optimizeWith(n, pl.rules)
 }
 
 // Plan lowers an analyzed, optimized logical plan and — unless disabled —

@@ -41,8 +41,9 @@ type ExecContext struct {
 	RDD *rdd.Context
 	Ctx context.Context
 
-	// Query is the query's observability collector; nil disables all
-	// instrumentation (operators wrap nothing and pay nothing).
+	// Query is the query's observability collector. When it is nil or
+	// counters-only, operators get nil stat handles: they wrap nothing and
+	// pay nothing.
 	Query *obs.QueryStats
 
 	mu    sync.Mutex
@@ -80,11 +81,12 @@ func (ec *ExecContext) SnapshotOf(t *core.IndexedTable) *core.Snapshot {
 }
 
 // Stats returns e's per-operator collector, creating it on first use, or
-// nil when the query runs without observability. Execute methods call this
-// once and close over the result; the map survives execution so EXPLAIN
-// ANALYZE can render the collected numbers against the plan tree.
+// nil when the query runs without observability or with counters only.
+// Execute methods call this once and close over the result; the map
+// survives execution so EXPLAIN ANALYZE can render the collected numbers
+// against the plan tree.
 func (ec *ExecContext) Stats(e Exec) *obs.OpStats {
-	if ec.Query == nil {
+	if !ec.Query.Detailed() {
 		return nil
 	}
 	ec.mu.Lock()
@@ -129,7 +131,9 @@ var opNames sync.Map // reflect.Type -> string
 // AnalyzeString renders the plan as an indented tree with each operator's
 // collected runtime numbers appended — the EXPLAIN ANALYZE body. Operators
 // that recorded nothing (never executed, or proxied by a parent) render
-// bare. Wall times are inclusive of children, Postgres-style.
+// bare. wall= is inclusive of children, Postgres-style; self= is wall
+// minus the wall of the nearest instrumented operators below, clamped at
+// 0 (sampled row timing can make a child's estimate exceed its parent's).
 func (ec *ExecContext) AnalyzeString(root Exec) string {
 	var sb strings.Builder
 	var rec func(Exec, int)
@@ -144,7 +148,10 @@ func (ec *ExecContext) AnalyzeString(root Exec) string {
 			if sel := st.Selectivity(); sel >= 0 {
 				fmt.Fprintf(&sb, " selectivity=%.1f%%", sel*100)
 			}
-			fmt.Fprintf(&sb, " wall=%s", time.Duration(st.WallNs()).Round(time.Microsecond))
+			wall := st.WallNs()
+			self := max(wall-ec.childrenWallNs(node), 0)
+			fmt.Fprintf(&sb, " wall=%s self=%s", time.Duration(wall).Round(time.Microsecond),
+				time.Duration(self).Round(time.Microsecond))
 			if m := st.MemBytes(); m > 0 {
 				fmt.Fprintf(&sb, " mem=%s", obs.FormatBytes(m))
 			}
@@ -175,6 +182,20 @@ func (ec *ExecContext) AnalyzeString(root Exec) string {
 	}
 	rec(root, 0)
 	return sb.String()
+}
+
+// childrenWallNs sums the wall time of the nearest instrumented operators
+// below e, looking through children that recorded nothing.
+func (ec *ExecContext) childrenWallNs(e Exec) int64 {
+	var ns int64
+	for _, c := range e.Children() {
+		if st := ec.OpStats(c); st != nil {
+			ns += st.WallNs()
+		} else {
+			ns += ec.childrenWallNs(c)
+		}
+	}
+	return ns
 }
 
 // TreeString renders a physical plan as an indented tree.

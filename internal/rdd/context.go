@@ -168,8 +168,8 @@ func (c *Context) parallelFor(ctx context.Context, n int, f func(i int) error) e
 // result is the drained rows' accounted byte size (0 without a tracker).
 func (c *Context) computePartition(ctx context.Context, r RDD, p int) ([]sqltypes.Row, int64, error) {
 	qs := obs.FromContext(ctx)
-	if qs == nil {
-		return c.computeTask(ctx, r, p, nil)
+	if !qs.Detailed() {
+		return c.computeTask(ctx, r, p, qs)
 	}
 	// Attribute the task's CPU samples to the query and record the span.
 	var (
@@ -367,15 +367,17 @@ func (c *Context) runShuffleStage(ctx context.Context, dep *ShuffleDependency) e
 		nReduce := dep.numReduce()
 		qs := obs.FromContext(ctx)
 		return c.parallelFor(ctx, parent.NumPartitions(), func(mapPart int) error {
+			if !qs.Detailed() {
+				return c.shuffleMapTask(ctx, dep, mapPart, nReduce, qs)
+			}
 			start := time.Now()
 			var taskErr error
 			qs.Do(ctx, "", func(ctx context.Context) {
 				taskErr = c.shuffleMapTask(ctx, dep, mapPart, nReduce, qs)
 			})
-			if qs != nil {
-				qs.Event("shuffle write", mapPart, time.Since(start))
-				dep.Obs.AddWall(int64(time.Since(start)))
-			}
+			dur := time.Since(start)
+			qs.Event("shuffle write", mapPart, dur)
+			dep.Obs.AddWall(int64(dur))
 			return taskErr
 		})
 	})

@@ -10,10 +10,12 @@ import (
 )
 
 // Execution observability: every session owns a metrics registry
-// (Prometheus-text exportable through Metrics().WriteTo), a bounded ring of
-// query-lifecycle trace events, and — unless Config.DisableObservability —
-// per-query, per-operator runtime stats feeding EXPLAIN ANALYZE and the
-// slow-query log.
+// (Prometheus-text exportable through Metrics().WriteTo) and — unless
+// Config.DisableObservability — per-query counters on Rows.Stats. Detail
+// is paid for on demand: per-operator runtime stats and a bounded ring of
+// query-lifecycle trace events are recorded only for EXPLAIN ANALYZE, or
+// for every query when a slow-query hook is installed or
+// Config.TraceCapacity is positive.
 
 // SlowQuery describes one finished query whose wall time met or exceeded
 // Config.SlowQueryThreshold, handed to Config.SlowQueryLog.
@@ -46,8 +48,10 @@ func FormatBytes(n int64) string { return obs.FormatBytes(n) }
 func (s *Session) Metrics() *obs.Registry { return s.metrics }
 
 // TraceEvents returns the session's retained query-lifecycle trace events,
-// oldest first. The ring holds Config.TraceCapacity events; nil when
-// observability is disabled.
+// oldest first. The ring exists only when Config.TraceCapacity is positive
+// (it holds that many events) or a slow-query hook is installed (it holds
+// obs.DefaultTraceCapacity); otherwise, and under
+// Config.DisableObservability, TraceEvents is nil.
 func (s *Session) TraceEvents() []obs.Event { return s.tracer.Events() }
 
 // TraceEventsFor returns the retained trace events of one query id.
@@ -58,12 +62,9 @@ func (s *Session) TraceEventsFor(queryID string) []obs.Event {
 // initObservability builds the registry and wires the engine-global gauges
 // and counter views. Called once from NewSession.
 func (s *Session) initObservability() {
-	if !s.cfg.DisableObservability {
-		capacity := s.cfg.TraceCapacity
-		if capacity <= 0 {
-			capacity = obs.DefaultTraceCapacity
-		}
-		s.tracer = obs.NewTracer(capacity)
+	slowHook := s.cfg.SlowQueryThreshold > 0 && s.cfg.SlowQueryLog != nil
+	if !s.cfg.DisableObservability && (s.cfg.TraceCapacity > 0 || slowHook) {
+		s.tracer = obs.NewTracer(s.cfg.TraceCapacity) // <= 0 takes the default
 	}
 	m := obs.NewRegistry()
 	s.metrics = m
@@ -204,7 +205,7 @@ type queryMeta struct {
 	parseNs  int64
 	planNs   int64
 	cacheHit bool
-	// force creates QueryStats even under Config.DisableObservability —
+	// force creates detailed QueryStats whatever the configuration —
 	// EXPLAIN ANALYZE is explicit opt-in instrumentation.
 	force bool
 }

@@ -409,3 +409,151 @@ func gaugeValue(t *testing.T, exposition, name string) float64 {
 	t.Fatalf("exposition missing %s:\n%s", name, exposition)
 	return 0
 }
+
+// drainQuery runs q to completion and returns its closed cursor and the
+// number of rows it delivered.
+func drainQuery(t *testing.T, s *Session, q string) (*Rows, int64) {
+	t.Helper()
+	rows, err := s.Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	rows.Close()
+	return rows, n
+}
+
+// TestObservabilityOnDemand: a query nobody inspects keeps its counters
+// but records no operator stats or trace events; EXPLAIN ANALYZE, a
+// slow-query hook or a sized trace ring each turn the full detail on.
+func TestObservabilityOnDemand(t *testing.T) {
+	const q = "SELECT val, COUNT(*) FROM t GROUP BY val"
+
+	t.Run("default", func(t *testing.T) {
+		s := newObsSession(t, Config{TablePartitions: 4}, 10_000)
+		rows, n := drainQuery(t, s, q)
+		qs := rows.Stats()
+		if qs == nil {
+			t.Fatal("Stats() nil under the default config")
+		}
+		if qs.RowsReturned() != n || n != 101 {
+			t.Fatalf("stats say %d rows, cursor delivered %d (want 101)", qs.RowsReturned(), n)
+		}
+		if qs.TasksStarted() == 0 || qs.TotalNs() <= 0 {
+			t.Fatalf("counters not live: tasks=%d total=%dns", qs.TasksStarted(), qs.TotalNs())
+		}
+		if ops := qs.Ops(); len(ops) != 0 {
+			t.Fatalf("%d operator collectors recorded with nobody looking", len(ops))
+		}
+		if evs := s.TraceEvents(); evs != nil {
+			t.Fatalf("TraceEvents() = %d events, want none", len(evs))
+		}
+		out := rows.AnalyzeString()
+		if strings.Contains(out, "actual rows=") || !strings.Contains(out, "tasks=") {
+			t.Fatalf("AnalyzeString should render the bare plan and the footer:\n%s", out)
+		}
+	})
+
+	// detailed checks that one query recorded operator actuals and, when
+	// the session keeps a ring, its task and close trace events.
+	detailed := func(t *testing.T, s *Session, rows *Rows) {
+		t.Helper()
+		qs := rows.Stats()
+		if len(qs.Ops()) == 0 {
+			t.Fatal("detailed query recorded no operator collectors")
+		}
+		if out := rows.AnalyzeString(); !strings.Contains(out, "wall=") {
+			t.Fatalf("operators carry no wall times:\n%s", out)
+		}
+		seen := map[string]bool{}
+		for _, ev := range s.TraceEventsFor(qs.ID) {
+			seen[ev.Name] = true
+		}
+		if !seen["task"] || !seen["close"] {
+			t.Fatalf("query %s trace lacks task/close events: %v", qs.ID, seen)
+		}
+	}
+
+	t.Run("trace ring", func(t *testing.T) {
+		s := newObsSession(t, Config{TablePartitions: 4, TraceCapacity: 32}, 10_000)
+		rows, _ := drainQuery(t, s, q)
+		detailed(t, s, rows)
+	})
+
+	t.Run("slow hook", func(t *testing.T) {
+		var (
+			mu    sync.Mutex
+			plans []string
+		)
+		s := newObsSession(t, Config{TablePartitions: 4, SlowQueryThreshold: time.Nanosecond,
+			SlowQueryLog: func(sq SlowQuery) {
+				mu.Lock()
+				plans = append(plans, sq.Plan)
+				mu.Unlock()
+			}}, 10_000)
+		rows, _ := drainQuery(t, s, q)
+		detailed(t, s, rows)
+		mu.Lock()
+		defer mu.Unlock()
+		if len(plans) == 0 || !strings.Contains(plans[len(plans)-1], "actual rows=") {
+			t.Fatalf("slow-query hook got no plan with actuals: %q", plans)
+		}
+	})
+
+	t.Run("explain analyze", func(t *testing.T) {
+		s := newObsSession(t, Config{TablePartitions: 4}, 10_000)
+		out, err := s.MustSQL(q).ExplainAnalyze(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, "wall=") || !strings.Contains(out, "self=") {
+			t.Fatalf("EXPLAIN ANALYZE carries no operator times:\n%s", out)
+		}
+		if evs := s.TraceEvents(); evs != nil {
+			t.Fatalf("EXPLAIN ANALYZE allocated a trace ring: %d events", len(evs))
+		}
+	})
+}
+
+// TestObservabilityDefaultAllocs: under the default config an indexed
+// point lookup costs at most two allocations more than with observability
+// disabled — the counters-only QueryStats and its context link.
+func TestObservabilityDefaultAllocs(t *testing.T) {
+	allocs := func(cfg Config) float64 {
+		s := newObsSession(t, cfg, 1_000)
+		base, err := s.Table("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := base.CreateIndexOn("id")
+		if err != nil {
+			t.Fatal(err)
+		}
+		df := idx.Filter(Eq(Col("id"), Lit(int64(42)))).SelectCols("val")
+		if rows, err := df.Collect(); err != nil || len(rows) != 1 {
+			t.Fatalf("point lookup: %d rows, err %v", len(rows), err)
+		}
+		var runErr error
+		n := testing.AllocsPerRun(200, func() {
+			if _, err := df.Collect(); err != nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		return n
+	}
+	def := allocs(Config{TablePartitions: 4})
+	bare := allocs(Config{TablePartitions: 4, DisableObservability: true})
+	t.Logf("point lookup: %.0f allocs default, %.0f with observability disabled", def, bare)
+	if def > bare+2 {
+		t.Fatalf("default config costs %.0f allocations over disabled observability, want <= 2", def-bare)
+	}
+}

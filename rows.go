@@ -48,8 +48,10 @@ type Rows struct {
 	remaining int64
 
 	// Observability: qs is nil when Config.DisableObservability is set
-	// (every recording below then vanishes); sess/ec/exec let shutdown
-	// settle registry counters and render the annotated plan.
+	// (every recording below then vanishes) and counters-only unless the
+	// query is detailed (EXPLAIN ANALYZE, a slow-query hook or a sized
+	// trace ring); sess/ec/exec let shutdown settle registry counters and
+	// render the annotated plan.
 	sess      *Session
 	qs        *obs.QueryStats
 	ec        *physical.ExecContext
@@ -89,22 +91,29 @@ func (r *Rows) Next() bool {
 	r.delivered++
 	if !r.sawRow {
 		r.sawRow = true
-		r.qs.Event("first row", -1, time.Since(r.start))
+		if r.qs.Detailed() {
+			r.qs.Event("first row", -1, time.Since(r.start))
+		}
 	}
 	r.row = row
 	return true
 }
 
-// Stats returns the query's recorded runtime stats — per-operator actuals,
-// task counts, shuffle bytes, memory peak. Nil when the session was built
-// with Config.DisableObservability. Totals settle when the cursor closes;
+// Stats returns the query's recorded runtime stats: task counts, shuffle
+// bytes, spill, memory peak, rows returned and phase timings. Per-operator
+// actuals (Ops) are recorded only when the query is detailed — EXPLAIN
+// ANALYZE, an installed slow-query hook or a positive Config.TraceCapacity
+// — and are empty otherwise. Nil when the session was built with
+// Config.DisableObservability. Totals settle when the cursor closes;
 // reading mid-stream sees live (partial) counts.
 func (r *Rows) Stats() *obs.QueryStats { return r.qs }
 
 // AnalyzeString renders the physical plan annotated with this execution's
 // actuals (EXPLAIN ANALYZE's body) plus a query-level summary footer.
-// Meaningful after the cursor is drained or closed; "" when observability
-// is disabled.
+// Operator actuals appear only when the query is detailed (see Stats);
+// otherwise the plan renders bare, followed by the footer. Meaningful
+// after the cursor is drained or closed; "" when observability is
+// disabled.
 func (r *Rows) AnalyzeString() string {
 	if r.qs == nil {
 		return ""
@@ -295,16 +304,24 @@ func (s *Session) queryExecMeta(ctx context.Context, exec physical.Exec, meta qu
 	// the stats object (which also labels the query's pprof samples).
 	queryID := s.mem.NextQueryID()
 	s.qStarted.Inc()
+	// Record detail only when someone will read it: EXPLAIN ANALYZE, or a
+	// session with a slow-query hook or a sized trace ring (exactly the
+	// sessions that keep a tracer). Every other query keeps counters only.
 	var qs *obs.QueryStats
-	if !s.cfg.DisableObservability || meta.force {
+	switch {
+	case meta.force || s.tracer != nil:
 		qs = obs.NewQueryStats(queryID, meta.sql, s.tracer)
-		qs.ParseNs, qs.PlanNs, qs.CacheHit = meta.parseNs, meta.planNs, meta.cacheHit
-		ctx = obs.WithQuery(ctx, qs)
 		if meta.cacheHit {
 			qs.Event("plan cache hit", -1, 0)
 		} else {
 			qs.Event("plan", -1, time.Duration(meta.parseNs+meta.planNs))
 		}
+	case !s.cfg.DisableObservability:
+		qs = obs.NewQueryCounters(queryID, meta.sql)
+	}
+	if qs != nil {
+		qs.ParseNs, qs.PlanNs, qs.CacheHit = meta.parseNs, meta.planNs, meta.cacheHit
+		ctx = obs.WithQuery(ctx, qs)
 	}
 	// Memory budget: refuse admission while the engine pool is saturated,
 	// then give the query its own tracker — every operator that buffers

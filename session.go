@@ -90,15 +90,25 @@ type Config struct {
 	// engages for queries that carry a memory budget (MemoryLimit or
 	// QueryMemoryLimit set); unbudgeted sessions never touch the disk.
 	SpillDir string
-	// DisableObservability turns off per-query instrumentation: no operator
-	// stats, no trace events, no EXPLAIN ANALYZE annotations (the statement
-	// still runs, producing a plan without actuals). The metrics registry
-	// stays available — engine-global counters (tasks, shuffle bytes, plan
-	// cache) cost nothing extra. When disabled, operators receive nil stat
-	// handles and their recording paths collapse to the untouched iterators.
+	// DisableObservability turns off per-query instrumentation: no query
+	// stats at all (Rows.Stats is nil), no trace events, no slow-query
+	// hook. EXPLAIN ANALYZE still records actuals for its one execution.
+	// The metrics registry stays available — engine-global counters
+	// (tasks, shuffle bytes, plan cache) cost nothing extra.
+	//
+	// Without it, observability is paid for on demand. A query records
+	// operator stats, trace events and pprof query_id labels only when
+	// someone will read them: it is EXPLAIN ANALYZE, a slow-query hook is
+	// installed (SlowQueryThreshold and SlowQueryLog), or TraceCapacity is
+	// positive. Every other query keeps only its query-level counters
+	// (Rows.Stats), and its operators receive nil stat handles exactly as
+	// under this flag.
 	DisableObservability bool
-	// TraceCapacity bounds the session's query-trace ring buffer in events
-	// (default obs.DefaultTraceCapacity). Oldest events are overwritten.
+	// TraceCapacity, when positive, sizes the session's query-trace ring
+	// buffer in events and makes every query record operator stats and
+	// trace events (see DisableObservability). Zero keeps no ring unless a
+	// slow-query hook is installed, which gets a ring of
+	// obs.DefaultTraceCapacity. Oldest events are overwritten.
 	TraceCapacity int
 	// SlowQueryThreshold, when positive, marks any query whose wall time
 	// meets or exceeds it as slow: SlowQueryLog fires with the finished
@@ -149,8 +159,10 @@ type Session struct {
 	spill *spill.Manager
 
 	// Observability: the metrics registry is always present (engine-global
-	// counters are free); the tracer and per-query stats are nil when
-	// Config.DisableObservability is set.
+	// counters are free). The tracer exists only when someone reads query
+	// detail (a sized trace ring or a slow-query hook), and then every
+	// query records operator stats and trace events. Per-query stats are
+	// nil when Config.DisableObservability is set.
 	metrics  *obs.Registry
 	tracer   *obs.Tracer
 	qStarted *obs.Counter
