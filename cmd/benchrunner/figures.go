@@ -42,7 +42,7 @@ func figures(sf float64, seed int64) []figure {
 		memFigure(sf, seed),
 		viewFigure(),
 		prepareFigure(),
-		kvFigure("shuffle", "Batch exchange vs row exchange: 1M-row GROUP BY through the shuffle (100k groups)",
+		kvFigure("shuffle", "Batch vs row operators over the columnar exchange: 1M-row GROUP BY through the shuffle (100k groups)",
 			groupedKV(1_000_000, 100_000), engineArms,
 			kvQuery{sql: "SELECT k, COUNT(*) AS cnt, SUM(v) AS total, AVG(v) AS mean FROM t GROUP BY k"}),
 		kvFigure("sort", "Batch sort vs row sort: 1M-row ORDER BY, and the fused top-n (LIMIT 100)",

@@ -5,7 +5,7 @@
 //	benchrunner -fig mem      §2 memory-overhead claim
 //	benchrunner -fig view     materialized views — delta refresh vs recompute
 //	benchrunner -fig prepare  prepared statements — plan cache vs parse-per-call
-//	benchrunner -fig shuffle  batch (columnar) exchange vs row exchange, 1M-row GROUP BY
+//	benchrunner -fig shuffle  batch vs row operators over the columnar exchange, 1M-row GROUP BY
 //	benchrunner -fig sort     batch sort & fused top-n vs row sort, 1M-row ORDER BY
 //	benchrunner -fig memacct  memory-accounting overhead — budgets on vs off
 //	benchrunner -fig obs      observability overhead — full detail vs off

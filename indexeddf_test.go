@@ -224,6 +224,80 @@ func TestLeftOuterJoin(t *testing.T) {
 	}
 }
 
+// TestIndexedLeftOuterJoinShuffleMode: a LEFT OUTER join onto an indexed
+// table whose probe side is shuffled to the index partitioning — NULL,
+// integral-float and fractional probe keys included — returns the rows
+// broadcast mode and the vanilla join return.
+func TestIndexedLeftOuterJoinShuffleMode(t *testing.T) {
+	var probe []Row
+	for i := 0; i < 60; i++ {
+		var k any = float64(i % 30)
+		switch {
+		case i%7 == 0:
+			k = nil
+		case i%11 == 0:
+			k = float64(i) + 0.5
+		}
+		probe = append(probe, R(k, fmt.Sprintf("p%02d", i)))
+	}
+	var target []Row
+	for i := 0; i < 40; i++ {
+		target = append(target, R(int64(i%20), fmt.Sprintf("t%02d", i)))
+	}
+	run := func(threshold int64, indexed bool, wantPlan string) []string {
+		t.Helper()
+		s := NewSession(Config{TablePartitions: 4, ShufflePartitions: 3, BroadcastThreshold: threshold})
+		l, err := s.CreateTable("l", NewSchema(Field{Name: "k", Type: Float64, Nullable: true}, Field{Name: "tag", Type: String}), probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.CreateTable("r", NewSchema(Field{Name: "k2", Type: Int64}, Field{Name: "v", Type: String}), target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if indexed {
+			if r, err = r.CreateIndex(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		df := l.LeftJoin(r, Eq(Col("k"), Col("k2")))
+		plan, err := df.Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, wantPlan) {
+			t.Fatalf("plan lacks %q:\n%s", wantPlan, plan)
+		}
+		rows, err := df.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(rows))
+		for i, row := range rows {
+			out[i] = fmt.Sprint(row)
+		}
+		sort.Strings(out)
+		return out
+	}
+	want := run(1, false, "ShuffleHashJoin LeftOuter")
+	if len(want) <= len(probe) {
+		t.Fatalf("vanilla join returned %d rows; the fixture should match keys twice", len(want))
+	}
+	for _, c := range []struct {
+		name      string
+		threshold int64
+		plan      string
+	}{
+		{"shuffle", 1, "IndexedJoin LeftOuter shuffle"},
+		{"broadcast", 1 << 20, "IndexedJoin LeftOuter broadcast"},
+	} {
+		got := run(c.threshold, true, c.plan)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s indexed join differs from the vanilla join:\n got %v\nwant %v", c.name, got, want)
+		}
+	}
+}
+
 func TestCreateIndexAndGetRows(t *testing.T) {
 	_, _, knows := newTestSession(t)
 	idx, err := knows.CreateIndex(0)

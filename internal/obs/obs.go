@@ -159,6 +159,23 @@ func (s *OpStats) AddWall(ns int64) {
 	}
 }
 
+// Clock starts timing a blocking phase (a build or sort that drains the
+// operator's input before its first output): the current time, or the
+// zero time on a nil collector so unobserved queries read no clock.
+func (s *OpStats) Clock() time.Time {
+	if s == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// AddWallSince records the wall time elapsed since start, a Clock result.
+func (s *OpStats) AddWallSince(start time.Time) {
+	if s != nil {
+		s.AddWall(int64(time.Since(start)))
+	}
+}
+
 // AddMem records bytes reserved against the query's memory tracker by this
 // operator (cumulative across partition tasks).
 func (s *OpStats) AddMem(n int64) {

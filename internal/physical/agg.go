@@ -287,6 +287,8 @@ func (h *HashAggExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	st := ec.Stats(h)
 	return ec.RDD.NewIterRDD(child, 0, func(_ *rdd.TaskContext, _ int, in sqltypes.RowIter) (sqltypes.RowIter, error) {
 		in = obs.CountInto(st, in)
+		start := st.Clock() // the build drains the input: time it
+		defer st.AddWallSince(start)
 		groups := map[string]*aggGroup{}
 		var order []*aggGroup // deterministic output order (first seen)
 		ga := groupAlloc{nAggs: len(h.Aggs)}

@@ -77,6 +77,35 @@ func TestAnalyzeSelfTime(t *testing.T) {
 		}
 	})
 
+	// A blocking operator drains its input inside its own timed build, so
+	// its wall= covers the input's and its self= is the build's own time.
+	t.Run("blocking", func(t *testing.T) {
+		it := indexedCatalogTable(t, 20_000, 1000)
+		k := expr.B(0, sqltypes.Int64, "k")
+		scan := NewVecIndexedScan(it, nil, it.Schema())
+		groups := []expr.Expr{k}
+		aggs := []expr.Agg{{Func: expr.CountStarAgg, Name: "cnt"}}
+		for _, root := range []Exec{
+			NewSort(NewVecFilter(scan, expr.NewCmp(expr.Lt, k, expr.LitInt64(10))), []SortOrder{{Expr: k}}),
+			NewVecHashAgg(scan, groups, aggs, AggPartial, PartialSchema(groups, aggs)),
+		} {
+			c := NewExecContext(rdd.NewContext())
+			c.Query = obs.NewQueryStats("q1", "", nil)
+			if _, err := c.RDD.Collect(mustExec(t, c, root)); err != nil {
+				t.Fatal(err)
+			}
+			rendered := c.AnalyzeString(root)
+			lines, wall, self := annotatedWalls(t, rendered)
+			if len(lines) < 2 {
+				t.Fatalf("%d annotated operators, want at least 2:\n%s", len(lines), rendered)
+			}
+			if wall[0] < wall[1] || self[0] <= 0 {
+				t.Errorf("%q: wall=%s below its input's %s, or self=%s not positive:\n%s",
+					lines[0], wall[0], wall[1], self[0], rendered)
+			}
+		}
+	})
+
 	t.Run("arithmetic", func(t *testing.T) {
 		leaf := valuesExec(rowsN(1, 1))
 		mid := NewFilter(leaf, expr.Lit(sqltypes.NewBool(true))) // records nothing: looked through

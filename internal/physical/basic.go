@@ -173,16 +173,26 @@ func (s *SortExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	if err != nil {
 		return nil, err
 	}
-	gathered := child
-	if child.NumPartitions() > 1 {
-		gathered = ec.RDD.NewShuffledRDD(child, rdd.SinglePartitioner{})
-	}
 	orders := s.Orders
 	st := ec.Stats(s)
-	return ec.RDD.NewIterRDD(gathered, 0, func(_ *rdd.TaskContext, _ int, in sqltypes.RowIter) (sqltypes.RowIter, error) {
+	return ec.RDD.NewIterRDD(gather(ec, child), 0, func(tc *rdd.TaskContext, _ int, in sqltypes.RowIter) (sqltypes.RowIter, error) {
+		// The drain computes the gathered input inline, so timing the
+		// drain and sort makes wall= include the input.
+		start := st.Clock()
 		rows, err := sqltypes.Drain(in)
 		if err != nil {
 			return nil, err
+		}
+		if mem := tc.Mem(); mem != nil {
+			// A row sort cannot spill: its whole buffer is charged.
+			var bytes int64
+			for _, r := range rows {
+				bytes += rdd.RowBytes(r)
+			}
+			if err := mem.Reserve("Sort", bytes); err != nil {
+				return nil, err
+			}
+			st.AddMem(bytes)
 		}
 		keys := make([]sqltypes.Row, len(rows))
 		for i, r := range rows {
@@ -218,15 +228,27 @@ func (s *SortExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 		for i, ix := range idx {
 			out[i] = rows[ix]
 		}
+		st.AddWallSince(start)
 		return obs.Rows(st, sqltypes.NewSliceIter(out)), nil
 	}), nil
+}
+
+// gather returns child as one partition: unchanged when it already is one,
+// otherwise through a narrow gather that computes its partitions in order
+// inside the consumer's task — no shuffle stage.
+func gather(ec *ExecContext, child rdd.RDD) rdd.RDD {
+	if child.NumPartitions() <= 1 {
+		return child
+	}
+	return ec.RDD.NewGatherRDD(child)
 }
 
 // ---------------------------------------------------------------------------
 // Limit
 
-// LimitExec truncates output to N rows: a per-partition local limit, then —
-// when the child has several partitions — a gather and a global limit.
+// LimitExec truncates output to N rows. A multi-partition child is
+// gathered narrowly, so the limit stops computing partitions once it has N
+// rows.
 type LimitExec struct {
 	Child Exec
 	N     int64
@@ -249,40 +271,30 @@ func (l *LimitExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := l.N
-	st := ec.Stats(l)
-	if child.NumPartitions() <= 1 {
-		return ec.RDD.NewIterRDD(child, 0, func(_ *rdd.TaskContext, _ int, in sqltypes.RowIter) (sqltypes.RowIter, error) {
-			return obs.Rows(st, &limitIter{in: in, left: n}), nil
-		}), nil
-	}
-	local := ec.RDD.NewIterRDD(child, 0, func(_ *rdd.TaskContext, _ int, in sqltypes.RowIter) (sqltypes.RowIter, error) {
-		return &limitIter{in: in, left: n}, nil
-	})
-	gathered := ec.RDD.NewShuffledRDD(local, rdd.SinglePartitioner{})
-	return ec.RDD.NewIterRDD(gathered, 0, func(_ *rdd.TaskContext, _ int, in sqltypes.RowIter) (sqltypes.RowIter, error) {
-		return obs.Rows(st, &limitIter{in: in, left: n}), nil
-	}), nil
+	return l.limit(ec, gather(ec, child)), nil
 }
 
-// ExecuteStreaming returns only the per-partition local-limit stage,
-// skipping the gather shuffle and global truncation. Streaming cursors use
-// it when the limit sits at the plan root: the cursor truncates globally
-// at N delivered rows and tears the stream down, so partition tasks beyond
-// the ones that produced those rows never launch — the gather variant
-// would have computed every partition as a shuffle map stage up front.
-// Rows arrive in partition order either way, so the first N rows are the
-// same ones Execute's global limit keeps.
+// ExecuteStreaming returns a per-partition limit without the gather.
+// Streaming cursors use it when the limit sits at the plan root: the
+// cursor truncates globally at N delivered rows and tears the stream down,
+// while partition tasks still run in parallel ahead of it. Rows arrive in
+// partition order either way, so the first N rows are the same ones
+// Execute keeps.
 func (l *LimitExec) ExecuteStreaming(ec *ExecContext) (rdd.RDD, error) {
 	child, err := l.Child.Execute(ec)
 	if err != nil {
 		return nil, err
 	}
+	return l.limit(ec, child), nil
+}
+
+// limit truncates each partition of in to N rows.
+func (l *LimitExec) limit(ec *ExecContext, in rdd.RDD) rdd.RDD {
 	n := l.N
 	st := ec.Stats(l)
-	return ec.RDD.NewIterRDD(child, 0, func(_ *rdd.TaskContext, _ int, in sqltypes.RowIter) (sqltypes.RowIter, error) {
+	return ec.RDD.NewIterRDD(in, 0, func(_ *rdd.TaskContext, _ int, in sqltypes.RowIter) (sqltypes.RowIter, error) {
 		return obs.Rows(st, &limitIter{in: in, left: n}), nil
-	}), nil
+	})
 }
 
 type limitIter struct {
@@ -305,8 +317,9 @@ func (it *limitIter) Next() (sqltypes.Row, error) {
 // ---------------------------------------------------------------------------
 // Exchange
 
-// ExchangeExec repartitions rows by a hash of key ordinals (or into a
-// single partition when Keys is empty).
+// ExchangeExec repartitions rows through the columnar shuffle by a hash of
+// key ordinals (or into a single partition when Keys is empty): the map
+// side batches its row child, the reduce side serves rows through a shim.
 type ExchangeExec struct {
 	Child         Exec
 	Keys          []int
@@ -333,26 +346,26 @@ func (e *ExchangeExec) String() string {
 
 // Execute implements Exec.
 func (e *ExchangeExec) Execute(ec *ExecContext) (rdd.RDD, error) {
-	child, err := e.Child.Execute(ec)
+	return executeExchange(ec, e, e.Child, e.Keys, e.NumPartitions)
+}
+
+// executeExchange runs either exchange operator through the columnar
+// shuffle; the two differ only in how EXPLAIN names them.
+func executeExchange(ec *ExecContext, op, child Exec, keys []int, n int) (rdd.RDD, error) {
+	in, err := child.Execute(ec)
 	if err != nil {
 		return nil, err
 	}
-	part := rdd.Partitioner(rdd.SinglePartitioner{})
-	if len(e.Keys) > 0 {
-		part = keyPartitioner(e.Keys, e.NumPartitions)
-	}
-	sh := ec.RDD.NewShuffledRDD(child, part)
-	sh.SetObs(ec.Stats(e))
+	sh := ec.RDD.NewBatchShuffledRDD(in, child.Schema(), keys, n)
+	sh.SetObs(ec.Stats(op))
 	return sh, nil
 }
 
-// VecExchangeExec is the columnar ExchangeExec: rows cross the shuffle as
-// sealed column-major batches (map side scatters batches column-wise on a
-// vectorized key hash, reduce side streams each map task's bucket back
-// out), so a vectorized producer and consumer keep the data columnar
-// straight through the stage boundary. Row operators on either side still
-// work — the exchange batches a row child at the map side and presents a
-// row shim at the reduce side.
+// VecExchangeExec is the ExchangeExec the vectorize pass places between a
+// vectorized producer and consumer. It runs the same columnar shuffle (map
+// side scatters batches column-wise on a vectorized key hash, reduce side
+// streams each map task's bucket back out); its own name marks in EXPLAIN
+// that the data stays columnar straight through the stage boundary.
 type VecExchangeExec struct {
 	Child         Exec
 	Keys          []int
@@ -379,13 +392,7 @@ func (e *VecExchangeExec) String() string {
 
 // Execute implements Exec.
 func (e *VecExchangeExec) Execute(ec *ExecContext) (rdd.RDD, error) {
-	child, err := e.Child.Execute(ec)
-	if err != nil {
-		return nil, err
-	}
-	sh := ec.RDD.NewBatchShuffledRDD(child, e.Child.Schema(), e.Keys, e.NumPartitions)
-	sh.SetObs(ec.Stats(e))
-	return sh, nil
+	return executeExchange(ec, e, e.Child, e.Keys, e.NumPartitions)
 }
 
 // ---------------------------------------------------------------------------

@@ -305,39 +305,6 @@ func appendValuesKey(dst []byte, vals []sqltypes.Value) []byte {
 	return dst
 }
 
-// keyOf extracts and normalizes a single-column key.
-func keyOf(row sqltypes.Row, ordinal int) sqltypes.Value {
-	return NormalizeKey(row[ordinal])
-}
-
-// rowKeyHash hashes the composite key of the given ordinals — the shuffle
-// partitioning function for multi-column keys. It combines the normalized
-// per-value hashes with the shared sqltypes combiner (the columnar
-// exchange's batch kernel uses the same one), so no key bytes are
-// materialized per row and both exchanges route identically.
-func rowKeyHash(row sqltypes.Row, ordinals []int) uint64 {
-	h := sqltypes.HashSeed
-	for _, o := range ordinals {
-		h = sqltypes.CombineHash(h, NormalizeKey(row[o]).Hash64())
-	}
-	return h
-}
-
-// keyPartitioner builds the hash partitioner for the given key ordinals:
-// single-column keys route by the normalized value's hash (matching the
-// index partitioning), composite keys by the combined per-value hash.
-func keyPartitioner(keys []int, n int) *rdd.HashPartitioner {
-	if len(keys) == 1 {
-		k := keys[0]
-		return &rdd.HashPartitioner{N: n, Key: func(r sqltypes.Row) sqltypes.Value {
-			return keyOf(r, k)
-		}}
-	}
-	return &rdd.HashPartitioner{N: n, Hash: func(r sqltypes.Row) uint64 {
-		return rowKeyHash(r, keys)
-	}}
-}
-
 // hasNullKey reports whether any key column is NULL (null keys never join).
 func hasNullKey(row sqltypes.Row, ordinals []int) bool {
 	for _, o := range ordinals {

@@ -150,12 +150,9 @@ func (j *IndexedJoinExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 			return obs.Rows(st, b.iter()), nil
 		}), nil
 	}
-	// Shuffle mode: hash the probe side with the index's partitioning.
-	probeKey := j.ProbeKey
-	part := &rdd.HashPartitioner{N: n, Key: func(r sqltypes.Row) sqltypes.Value {
-		return keyOf(r, probeKey)
-	}}
-	shuffled := ec.RDD.NewShuffledRDD(probeRDD, part)
+	// Shuffle mode: hash the probe side with the index's partitioning
+	// (the exchange's column hash routes a key to snap.PartitionFor(key)).
+	shuffled := ec.RDD.NewBatchShuffledRDD(probeRDD, j.Probe.Schema(), []int{j.ProbeKey}, n)
 	return ec.RDD.NewIterRDD(shuffled, 0, func(tc *rdd.TaskContext, p int, in sqltypes.RowIter) (sqltypes.RowIter, error) {
 		var b sliceBuilder
 		in = obs.CountInto(st, in)

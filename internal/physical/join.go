@@ -145,8 +145,8 @@ func (j *ShuffleHashJoinExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	if err != nil {
 		return nil, err
 	}
-	ls := ec.RDD.NewShuffledRDD(left, keyPartitioner(j.LeftKeys, j.NumPartitions))
-	rs := ec.RDD.NewShuffledRDD(right, keyPartitioner(j.RightKeys, j.NumPartitions))
+	ls := ec.RDD.NewBatchShuffledRDD(left, j.Left.Schema(), j.LeftKeys, j.NumPartitions)
+	rs := ec.RDD.NewBatchShuffledRDD(right, j.Right.Schema(), j.RightKeys, j.NumPartitions)
 	lKeys, rKeys := j.LeftKeys, j.RightKeys
 	jt, residual := j.Type, j.Residual
 	rightWidth := j.Right.Schema().Len()

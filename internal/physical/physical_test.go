@@ -1,6 +1,8 @@
 package physical
 
 import (
+	"context"
+	"errors"
 	"sort"
 	"strings"
 	"testing"
@@ -8,6 +10,7 @@ import (
 	"indexeddf/internal/catalog"
 	"indexeddf/internal/core"
 	"indexeddf/internal/expr"
+	"indexeddf/internal/memory"
 	"indexeddf/internal/rdd"
 	"indexeddf/internal/sqltypes"
 )
@@ -88,6 +91,22 @@ func TestSortExecMultiplePartitions(t *testing.T) {
 		if out[i-1][0].Int64Val() < out[i][0].Int64Val() {
 			t.Fatal("not sorted desc")
 		}
+	}
+}
+
+// TestSortExecChargesBuffer: a row sort cannot spill, so its gathered
+// buffer counts against the query budget and an over-budget sort fails
+// naming the sort.
+func TestSortExecChargesBuffer(t *testing.T) {
+	tr := memory.NewPool(0).NewTracker("q1", 4<<10)
+	defer tr.Close()
+	c := NewExecContextCtx(memory.WithTracker(context.Background(), tr), rdd.NewContext())
+	wrap := &rddExec{r: c.RDD.Parallelize(rowsN(1000, 50), 4), schema: schema2()}
+	sorted := NewSort(wrap, []SortOrder{{Expr: expr.B(0, sqltypes.Int64, "k")}})
+	_, err := c.RDD.CollectCtx(c.Ctx, mustExec(t, c, sorted))
+	var le *memory.LimitError
+	if !errors.As(err, &le) || le.Operator != "Sort" {
+		t.Fatalf("over-budget row sort: err = %v, want a limit error naming Sort", err)
 	}
 }
 

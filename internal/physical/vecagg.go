@@ -67,7 +67,9 @@ func (h *VecHashAggExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 		// state columns follow positionally.
 		intKey := len(h.Groups) == 1 && inSchema.Fields[0].Type.IntLane()
 		return ec.RDD.NewBatchIterRDD(child, 0, inSchema, func(tc *rdd.TaskContext, _ int, in vector.BatchIter) (vector.BatchIter, error) {
+			start := st.Clock()
 			out, err := h.mergeFinal(tc, in, intKey, st)
+			st.AddWallSince(start)
 			if err != nil {
 				return nil, err
 			}
@@ -94,7 +96,9 @@ func (h *VecHashAggExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 			}
 			args[i] = ve
 		}
+		start := st.Clock()
 		out, err := h.aggregate(tc, in, groups, args, st)
+		st.AddWallSince(start)
 		if err != nil {
 			return nil, err
 		}

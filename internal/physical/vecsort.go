@@ -86,7 +86,9 @@ func (s *VecSortExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 		return s.executeRange(ec, child, schema, orders, st)
 	}
 	runs := ec.RDD.NewBatchIterRDD(child, 0, schema, func(tc *rdd.TaskContext, _ int, in vector.BatchIter) (vector.BatchIter, error) {
+		start := st.Clock()
 		out, err := sortPartition(tc, in, schema, orders, st, nil, 0)
+		st.AddWallSince(start)
 		if err != nil || !single {
 			return out, err
 		}
@@ -120,6 +122,8 @@ func (s *VecSortExec) executeRange(ec *ExecContext, child rdd.RDD, schema *sqlty
 	coord := &rangeSortCoord{}
 	nParts := s.Parallel
 	runs := ec.RDD.NewBatchIterRDD(child, 0, schema, func(tc *rdd.TaskContext, p int, in vector.BatchIter) (vector.BatchIter, error) {
+		start := st.Clock()
+		defer st.AddWallSince(start)
 		return sortPartition(tc, in, schema, orders, st, coord, p)
 	})
 	merged := ec.RDD.NewBatchRangeMergeRDD(runs, schema, nParts, func(tc *rdd.TaskContext, p int) (vector.BatchIter, error) {
@@ -812,7 +816,9 @@ func (t *VecTopNExec) Execute(ec *ExecContext) (rdd.RDD, error) {
 	st := ec.Stats(t)
 	single := child.NumPartitions() <= 1
 	runs := ec.RDD.NewBatchIterRDD(child, 0, schema, func(tc *rdd.TaskContext, _ int, in vector.BatchIter) (vector.BatchIter, error) {
+		start := st.Clock()
 		out, err := topNPartition(tc, in, schema, orders, n, st)
+		st.AddWallSince(start)
 		if err != nil || !single {
 			return out, err
 		}

@@ -357,23 +357,19 @@ func (c *Context) ensureShuffles(ctx context.Context, r RDD, visiting map[int]bo
 }
 
 // runShuffleStage computes the map side of a shuffle: each parent
-// partition is computed and bucketed by reducer into the shuffle service —
-// row-at-a-time through the partitioner for a row exchange, column-wise
-// through the scatter kernel for a columnar exchange. Idempotent per
-// shuffle id.
+// partition is computed and scattered column-wise into the shuffle
+// service. Idempotent per shuffle id.
 func (c *Context) runShuffleStage(ctx context.Context, dep *ShuffleDependency) error {
 	return c.shuffles.RunOnce(dep.ShuffleID, func() error {
-		parent := dep.P
-		nReduce := dep.numReduce()
 		qs := obs.FromContext(ctx)
-		return c.parallelFor(ctx, parent.NumPartitions(), func(mapPart int) error {
+		return c.parallelFor(ctx, dep.P.NumPartitions(), func(mapPart int) error {
 			if !qs.Detailed() {
-				return c.shuffleMapTask(ctx, dep, mapPart, nReduce, qs)
+				return c.shuffleMapTask(ctx, dep, mapPart, qs)
 			}
 			start := time.Now()
 			var taskErr error
 			qs.Do(ctx, "", func(ctx context.Context) {
-				taskErr = c.shuffleMapTask(ctx, dep, mapPart, nReduce, qs)
+				taskErr = c.shuffleMapTask(ctx, dep, mapPart, qs)
 			})
 			dur := time.Since(start)
 			qs.Event("shuffle write", mapPart, dur)
@@ -383,10 +379,21 @@ func (c *Context) runShuffleStage(ctx context.Context, dep *ShuffleDependency) e
 	})
 }
 
+// spillFlushBytes is how much scattered input a spilling map task buffers
+// before sealing the scatter into the per-reducer runs, keeping the map
+// side's resident high-water at a small constant instead of the whole
+// partition.
+const spillFlushBytes = 1 << 20
+
 // shuffleMapTask computes one parent partition and publishes its buckets
-// into the shuffle service — rows through the partitioner for a row
-// exchange, batches through the scatter kernel for a columnar one.
-func (c *Context) shuffleMapTask(ctx context.Context, dep *ShuffleDependency, mapPart, nReduce int, qs *obs.QueryStats) error {
+// into the shuffle service. The partition's output is viewed as a batch
+// stream (spliced through untouched when the parent operator is
+// vectorized, gathered into batches otherwise) and scattered column-wise
+// into per-reducer builders. With out-of-core execution available and a
+// budget in force, the builders flush incrementally into per-reducer spill
+// runs, which go to disk when the budget refuses them; otherwise the whole
+// partition is scattered and sealed in one shot (the in-memory fast path).
+func (c *Context) shuffleMapTask(ctx context.Context, dep *ShuffleDependency, mapPart int, qs *obs.QueryStats) error {
 	c.tasksStarted.Add(1)
 	qs.TaskStarted()
 	if err := faultpoint.Hit(faultpoint.TaskStart); err != nil {
@@ -397,79 +404,16 @@ func (c *Context) shuffleMapTask(ctx context.Context, dep *ShuffleDependency, ma
 	if err != nil {
 		return fmt.Errorf("rdd: shuffle %d map task %d: %w", dep.ShuffleID, mapPart, err)
 	}
-	if dep.Batch != nil {
-		if err := c.batchMapTask(ctx, dep, mapPart, it, nReduce); err != nil {
-			return err
-		}
-		c.tasksCompleted.Add(1)
-		qs.TaskFinished()
-		return nil
-	}
-	buckets := make([][]sqltypes.Row, nReduce)
-	var bytes, rows int64
-	for n := 0; ; n++ {
-		if n%1024 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		row, err := it.Next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			break
-		}
-		b := dep.Partitioner.PartitionFor(row)
-		buckets[b] = append(buckets[b], row)
-		bytes += RowBytes(row)
-		rows++
-	}
-	if err := faultpoint.Hit(faultpoint.ShuffleWrite); err != nil {
-		return fmt.Errorf("rdd: shuffle %d map task %d: %w", dep.ShuffleID, mapPart, err)
-	}
+	bi := vector.AsBatchIter(it, dep.Schema, vector.DefaultBatchSize)
+	sc := vector.NewScatter(dep.Schema, dep.Ords, dep.N)
 	mem := memory.FromContext(ctx)
-	if err := mem.Reserve("shuffle write", bytes); err != nil {
-		return err
-	}
-	c.shuffles.charge(dep.ShuffleID, mem, bytes)
-	c.shuffles.WriteRows(dep.ShuffleID, mapPart, buckets)
-	c.shuffleBytes.Add(bytes)
-	qs.AddShuffleBytes(bytes)
-	dep.Obs.AddRowsOut(rows)
-	dep.Obs.AddBytes(bytes)
-	c.tasksCompleted.Add(1)
-	qs.TaskFinished()
-	return nil
-}
-
-// spillFlushBytes is how much scattered input a spilling map task buffers
-// before sealing the scatter into the per-reducer runs, keeping the map
-// side's resident high-water at a small constant instead of the whole
-// partition.
-const spillFlushBytes = 1 << 20
-
-// batchMapTask is the map side of a columnar exchange: the parent's
-// output is viewed as a batch stream (spliced through untouched when the
-// parent operator is vectorized, gathered into batches otherwise) and
-// scattered column-wise into per-reducer builders. With out-of-core
-// execution available and a budget in force, the builders flush
-// incrementally into per-reducer spill runs, which go to disk when the
-// budget refuses them; otherwise the whole partition is scattered and
-// sealed in one shot (the in-memory fast path, untouched).
-func (c *Context) batchMapTask(ctx context.Context, dep *ShuffleDependency, mapPart int,
-	it sqltypes.RowIter, nReduce int) error {
-	bi := vector.AsBatchIter(it, dep.Batch.Schema, vector.DefaultBatchSize)
-	sc := vector.NewScatter(dep.Batch.Schema, dep.Batch.Ords, nReduce)
-	mem := memory.FromContext(ctx)
-	qs := obs.FromContext(ctx)
 	spilling := c.spill.Enabled() && mem != nil
 
 	var runs []*spill.Run
 	if spilling {
-		runs = make([]*spill.Run, nReduce)
+		runs = make([]*spill.Run, dep.N)
 		for i := range runs {
-			runs[i] = c.spill.NewRun("shuffle write", dep.Batch.Schema, mem, dep.Obs, qs)
+			runs[i] = c.spill.NewRun("shuffle write", dep.Schema, mem, dep.Obs, qs)
 		}
 	}
 	var bytes, rows, nBatches int64
@@ -554,11 +498,13 @@ func (c *Context) batchMapTask(ctx context.Context, dep *ShuffleDependency, mapP
 		dep.Obs.AddBatches(nBatches)
 		dep.Obs.AddBytes(bytes)
 	}
+	c.tasksCompleted.Add(1)
+	qs.TaskFinished()
 	return nil
 }
 
 // ShuffleManager is the in-memory shuffle service: map tasks write hashed
-// buckets (row slices or sealed columnar batches), reduce tasks stream the
+// buckets of sealed columnar batches (or spill runs), reduce tasks stream the
 // bucket for their partition out of every map output. Each shuffle's
 // outputs sit behind their own RWMutex, so reduce-side readers from many
 // partitions proceed in parallel — with each other and with map writes of
@@ -570,12 +516,11 @@ type ShuffleManager struct {
 	spill    *spill.Manager // set by WithSpill; nil = in-memory only
 }
 
-// shuffleOutput holds one shuffle's map outputs. rows, batches and runs
-// are mutually exclusive per shuffle (set by the dependency flavor and
-// whether the query runs out-of-core).
+// shuffleOutput holds one shuffle's map outputs. batches and runs are
+// mutually exclusive per shuffle (set by whether the query runs
+// out-of-core).
 type shuffleOutput struct {
 	mu      sync.RWMutex
-	rows    map[int][][]sqltypes.Row  // mapPart -> reducer -> rows
 	batches map[int][][]*vector.Batch // mapPart -> reducer -> sealed batches
 	runs    map[int][]*spill.Run      // mapPart -> reducer -> spillable run
 	mem     *memory.Tracker           // tracker the retained buckets are charged to
@@ -651,17 +596,6 @@ func (m *ShuffleManager) lookup(shuffleID int) (*shuffleOutput, bool) {
 	return out, ok
 }
 
-// WriteRows records one map task's row buckets.
-func (m *ShuffleManager) WriteRows(shuffleID, mapPart int, buckets [][]sqltypes.Row) {
-	out := m.output(shuffleID)
-	out.mu.Lock()
-	defer out.mu.Unlock()
-	if out.rows == nil {
-		out.rows = make(map[int][][]sqltypes.Row)
-	}
-	out.rows[mapPart] = buckets
-}
-
 // WriteBatches records one map task's columnar buckets.
 func (m *ShuffleManager) WriteBatches(shuffleID, mapPart int, buckets [][]*vector.Batch) {
 	out := m.output(shuffleID)
@@ -686,22 +620,9 @@ func (m *ShuffleManager) WriteBatchRuns(shuffleID, mapPart int, runs []*spill.Ru
 	out.runs[mapPart] = runs
 }
 
-// rowBucket returns map task mapPart's bucket for reducer p, or ok=false
-// when that map task has not written (the reader is past the last map).
-func (o *shuffleOutput) rowBucket(mapPart, p int) ([]sqltypes.Row, bool) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	buckets, ok := o.rows[mapPart]
-	if !ok {
-		return nil, false
-	}
-	if p >= len(buckets) {
-		return nil, true
-	}
-	return buckets[p], true
-}
-
-// batchBucket is rowBucket for a columnar shuffle.
+// batchBucket returns map task mapPart's bucket for reducer p, or
+// ok=false when that map task has not written (the reader is past the
+// last map).
 func (o *shuffleOutput) batchBucket(mapPart, p int) ([]*vector.Batch, bool) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
@@ -736,25 +657,12 @@ func (o *shuffleOutput) spilled() bool {
 	return o.runs != nil
 }
 
-// OpenRowReader streams reduce partition p's rows one map-task bucket at a
-// time: each bucket is picked up under the shuffle's read lock when the
-// reader gets to it, so concurrent reduce tasks never serialize on a
-// whole-fetch concatenation. The reader polls tc for cancellation between
-// buckets. Map outputs must be complete (the scheduler runs the map stage
-// to completion before reduce tasks start).
-func (m *ShuffleManager) OpenRowReader(shuffleID, p int, tc *TaskContext) (sqltypes.RowIter, error) {
-	if err := faultpoint.Hit(faultpoint.ShuffleFetch); err != nil {
-		return nil, fmt.Errorf("rdd: shuffle %d reduce %d: %w", shuffleID, p, err)
-	}
-	out, ok := m.lookup(shuffleID)
-	if !ok {
-		return nil, fmt.Errorf("rdd: shuffle %d has no map outputs (stage not run)", shuffleID)
-	}
-	return &shuffleRowReader{out: out, reducer: p, tc: tc}, nil
-}
-
-// OpenBatchReader is OpenRowReader for a columnar shuffle: the reduce side
-// streams each map task's sealed batches in map order.
+// OpenBatchReader streams reduce partition p's batches one map-task bucket
+// at a time, in map order: each bucket is picked up under the shuffle's
+// read lock when the reader gets to it, so concurrent reduce tasks never
+// serialize on a whole-fetch concatenation. The reader polls tc for
+// cancellation between buckets. Map outputs must be complete (the
+// scheduler runs the map stage to completion before reduce tasks start).
 func (m *ShuffleManager) OpenBatchReader(shuffleID, p int, tc *TaskContext) (vector.BatchIter, error) {
 	if err := faultpoint.Hit(faultpoint.ShuffleFetch); err != nil {
 		return nil, fmt.Errorf("rdd: shuffle %d reduce %d: %w", shuffleID, p, err)
@@ -784,42 +692,6 @@ func (m *ShuffleManager) OpenBatchRunReaders(shuffleID, nRuns, p int, tc *TaskCo
 		runs[i] = &shuffleBatchReader{out: out, reducer: p, tc: tc, mapPart: i, lastMap: i + 1}
 	}
 	return runs, nil
-}
-
-// shuffleRowReader iterates reduce partition reducer's rows across map
-// outputs, holding the shuffle lock only to look one bucket up.
-type shuffleRowReader struct {
-	out     *shuffleOutput
-	reducer int
-	tc      *TaskContext
-	mapPart int
-	cur     []sqltypes.Row
-	pos     int
-	done    bool
-}
-
-// Next implements sqltypes.RowIter.
-func (r *shuffleRowReader) Next() (sqltypes.Row, error) {
-	for {
-		if r.pos < len(r.cur) {
-			row := r.cur[r.pos]
-			r.pos++
-			return row, nil
-		}
-		if r.done {
-			return nil, nil
-		}
-		if err := r.tc.Err(); err != nil {
-			return nil, err
-		}
-		bucket, ok := r.out.rowBucket(r.mapPart, r.reducer)
-		if !ok {
-			r.done = true
-			return nil, nil
-		}
-		r.mapPart++
-		r.cur, r.pos = bucket, 0
-	}
 }
 
 // shuffleBatchReader streams reduce partition reducer's sealed batches

@@ -23,11 +23,7 @@ type BatchMergeRDD struct {
 // streams with merge.
 func (c *Context) NewBatchMergeRDD(parent RDD, schema *sqltypes.Schema,
 	merge func(tc *TaskContext, runs []vector.BatchIter) (vector.BatchIter, error)) *BatchMergeRDD {
-	dep := &ShuffleDependency{
-		P:         parent,
-		ShuffleID: c.nextShuffleID(),
-		Batch:     &BatchExchange{Schema: schema, N: 1},
-	}
+	dep := c.newShuffleDependency(parent, schema, nil, 1)
 	return &BatchMergeRDD{id: c.nextRDDID(), dep: dep, nRuns: parent.NumPartitions(), merge: merge}
 }
 
@@ -71,11 +67,7 @@ type BatchRangeMergeRDD struct {
 // over parent's (row-free) columnar exchange.
 func (c *Context) NewBatchRangeMergeRDD(parent RDD, schema *sqltypes.Schema, nParts int,
 	merge func(tc *TaskContext, p int) (vector.BatchIter, error)) *BatchRangeMergeRDD {
-	dep := &ShuffleDependency{
-		P:         parent,
-		ShuffleID: c.nextShuffleID(),
-		Batch:     &BatchExchange{Schema: schema, N: 1},
-	}
+	dep := c.newShuffleDependency(parent, schema, nil, 1)
 	return &BatchRangeMergeRDD{id: c.nextRDDID(), dep: dep, nParts: nParts, merge: merge}
 }
 

@@ -1,6 +1,6 @@
 // Package rdd implements the distributed-collection substrate the engine
 // executes on: partitioned resilient datasets with narrow and shuffle
-// dependencies, a hash partitioner, an in-memory shuffle service and a DAG
+// dependencies, an in-memory columnar shuffle service and a DAG
 // scheduler running tasks on a bounded worker pool — a faithful
 // single-process analogue of Spark's core (Zaharia et al., NSDI 2012),
 // which the Indexed DataFrame plugs into.
@@ -35,26 +35,31 @@ type Dependency interface {
 	Parent() RDD
 }
 
-// OneToOne is a narrow dependency: partition i depends on parent partition i.
+// OneToOne is a narrow dependency: the child computes the parent's
+// partitions inline in its own tasks — partition i from parent partition i
+// for maps and zips, offset for a union, all of them in order for a
+// gather.
 type OneToOne struct{ P RDD }
 
 // Parent implements Dependency.
 func (d OneToOne) Parent() RDD { return d.P }
 
-// ShuffleDependency is a wide dependency: child partitions read hashed
-// buckets of every parent partition.
+// ShuffleDependency is a wide dependency through the columnar exchange:
+// map tasks scatter column-major batches into reduce buckets by hashing
+// the key columns with the vectorized kernel (vector.HashColumns), and
+// reduce tasks stream the sealed batches back out, so data stays columnar
+// across the stage boundary. Row-producing parents are gathered into
+// batches of Schema at the map side.
 type ShuffleDependency struct {
 	P         RDD
 	ShuffleID int
-	// Partitioner routes each parent row to a reduce partition (row
-	// exchanges only; nil when Batch is set).
-	Partitioner Partitioner
-	// Batch, when non-nil, makes this a columnar exchange: map tasks
-	// scatter column-major batches (hashing the key columns with the
-	// vectorized kernel, the sole routing function — there is no row
-	// fallback) and reduce tasks stream sealed batches back out, so data
-	// stays columnar across the stage boundary.
-	Batch *BatchExchange
+	// Schema is the parent's row schema.
+	Schema *sqltypes.Schema
+	// Ords are the key column ordinals; empty routes everything to
+	// reduce partition 0.
+	Ords []int
+	// N is the reduce-side partition count.
+	N int
 	// Obs, when non-nil, receives the map side's runtime numbers (rows,
 	// batches, payload bytes, task wall time) — the exchange operator's
 	// stats are collected here because its output iterator belongs to the
@@ -62,65 +67,14 @@ type ShuffleDependency struct {
 	Obs *obs.OpStats
 }
 
-// BatchExchange configures a columnar shuffle dependency.
-type BatchExchange struct {
-	// Schema is the parent's row schema (row-producing parents are
-	// gathered into batches of this shape at the map side).
-	Schema *sqltypes.Schema
-	// Ords are the key column ordinals; empty routes everything to
-	// reduce partition 0 (the single-partition gather).
-	Ords []int
-	// N is the reduce-side partition count.
-	N int
-}
-
 // Parent implements Dependency.
 func (d *ShuffleDependency) Parent() RDD { return d.P }
 
-// numReduce returns the dependency's reduce-side partition count.
-func (d *ShuffleDependency) numReduce() int {
-	if d.Batch != nil {
-		return d.Batch.N
-	}
-	return d.Partitioner.NumPartitions()
+// newShuffleDependency allocates a shuffle id for a columnar exchange of
+// parent into n reduce partitions.
+func (c *Context) newShuffleDependency(parent RDD, schema *sqltypes.Schema, ords []int, n int) *ShuffleDependency {
+	return &ShuffleDependency{P: parent, ShuffleID: c.nextShuffleID(), Schema: schema, Ords: ords, N: n}
 }
-
-// Partitioner maps a row to a partition in [0, NumPartitions).
-type Partitioner interface {
-	NumPartitions() int
-	PartitionFor(row sqltypes.Row) int
-}
-
-// HashPartitioner routes rows by the 64-bit hash of a key derived from the
-// row — the scheme the Indexed DataFrame uses on the indexed column. Either
-// Key (a value whose Hash64 routes the row) or Hash (a direct row hash,
-// which composite-key exchanges use to avoid materializing key bytes per
-// row) must be set; Hash wins when both are.
-type HashPartitioner struct {
-	N    int
-	Key  func(sqltypes.Row) sqltypes.Value
-	Hash func(sqltypes.Row) uint64
-}
-
-// NumPartitions implements Partitioner.
-func (p *HashPartitioner) NumPartitions() int { return p.N }
-
-// PartitionFor implements Partitioner.
-func (p *HashPartitioner) PartitionFor(row sqltypes.Row) int {
-	if p.Hash != nil {
-		return int(p.Hash(row) % uint64(p.N))
-	}
-	return int(p.Key(row).Hash64() % uint64(p.N))
-}
-
-// SinglePartitioner routes everything to partition 0 (global sorts/limits).
-type SinglePartitioner struct{}
-
-// NumPartitions implements Partitioner.
-func (SinglePartitioner) NumPartitions() int { return 1 }
-
-// PartitionFor implements Partitioner.
-func (SinglePartitioner) PartitionFor(sqltypes.Row) int { return 0 }
 
 // TaskContext carries per-task state into Compute.
 type TaskContext struct {
@@ -269,12 +223,6 @@ type ShuffledRDD struct {
 	dep *ShuffleDependency
 }
 
-// NewShuffledRDD repartitions parent's rows with part.
-func (c *Context) NewShuffledRDD(parent RDD, part Partitioner) *ShuffledRDD {
-	dep := &ShuffleDependency{P: parent, ShuffleID: c.nextShuffleID(), Partitioner: part}
-	return &ShuffledRDD{id: c.nextRDDID(), dep: dep}
-}
-
 // NewBatchShuffledRDD repartitions parent through the columnar exchange:
 // map tasks scatter batches by hashing the key ordinals (all rows to
 // reduce partition 0 when ords is empty), and Compute serves the reduce
@@ -285,12 +233,7 @@ func (c *Context) NewBatchShuffledRDD(parent RDD, schema *sqltypes.Schema, ords 
 	if len(ords) == 0 {
 		nReduce = 1
 	}
-	dep := &ShuffleDependency{
-		P:         parent,
-		ShuffleID: c.nextShuffleID(),
-		Batch:     &BatchExchange{Schema: schema, Ords: ords, N: nReduce},
-	}
-	return &ShuffledRDD{id: c.nextRDDID(), dep: dep}
+	return &ShuffledRDD{id: c.nextRDDID(), dep: c.newShuffleDependency(parent, schema, ords, nReduce)}
 }
 
 // SetObs routes the shuffle's map-side runtime numbers into st (nil
@@ -301,25 +244,87 @@ func (r *ShuffledRDD) SetObs(st *obs.OpStats) { r.dep.Obs = st }
 func (r *ShuffledRDD) ID() int { return r.id }
 
 // NumPartitions implements RDD.
-func (r *ShuffledRDD) NumPartitions() int { return r.dep.numReduce() }
+func (r *ShuffledRDD) NumPartitions() int { return r.dep.N }
 
 // Dependencies implements RDD.
 func (r *ShuffledRDD) Dependencies() []Dependency { return []Dependency{r.dep} }
 
-// Compute implements RDD. Both exchange flavors stream the reduce side one
-// map task's bucket at a time instead of concatenating everything up
-// front; the columnar flavor additionally presents its batches behind a
-// row shim that vectorized consumers splice away.
+// Compute implements RDD: the reduce side streams one map task's bucket
+// at a time instead of concatenating everything up front.
 func (r *ShuffledRDD) Compute(tc *TaskContext, p int) (sqltypes.RowIter, error) {
 	obs.FromContext(tc.Cancellation()).Event("shuffle fetch", p, 0)
-	if r.dep.Batch != nil {
-		br, err := tc.Ctx.shuffles.OpenBatchReader(r.dep.ShuffleID, p, tc)
-		if err != nil {
+	br, err := tc.Ctx.shuffles.OpenBatchReader(r.dep.ShuffleID, p, tc)
+	if err != nil {
+		return nil, err
+	}
+	return vector.NewRowIter(br), nil
+}
+
+// GatherRDD is a narrow, single-partition view of its parent: its one
+// partition computes the parent's partitions in order, inline, one at a
+// time. It replaces a gather shuffle where the consumer needs every row in
+// one place but no stage boundary — a row sort, a global limit. Nothing
+// is materialized between the parent and the consumer, so a limit above
+// it stops before the later parent partitions are computed.
+type GatherRDD struct {
+	id     int
+	parent RDD
+}
+
+// NewGatherRDD gathers parent's partitions into one.
+func (c *Context) NewGatherRDD(parent RDD) *GatherRDD {
+	return &GatherRDD{id: c.nextRDDID(), parent: parent}
+}
+
+// ID implements RDD.
+func (r *GatherRDD) ID() int { return r.id }
+
+// NumPartitions implements RDD.
+func (r *GatherRDD) NumPartitions() int { return 1 }
+
+// Dependencies implements RDD.
+func (r *GatherRDD) Dependencies() []Dependency { return []Dependency{OneToOne{P: r.parent}} }
+
+// Compute implements RDD.
+func (r *GatherRDD) Compute(tc *TaskContext, p int) (sqltypes.RowIter, error) {
+	if p != 0 {
+		return nil, fmt.Errorf("rdd: gather partition %d out of range", p)
+	}
+	return &gatherIter{tc: tc, parent: r.parent}, nil
+}
+
+// gatherIter pulls the parent's partitions in order, polling tc for
+// cancellation before it computes each one.
+type gatherIter struct {
+	tc     *TaskContext
+	parent RDD
+	next   int
+	cur    sqltypes.RowIter
+}
+
+// Next implements sqltypes.RowIter.
+func (it *gatherIter) Next() (sqltypes.Row, error) {
+	for {
+		if it.cur != nil {
+			row, err := it.cur.Next()
+			if err != nil || row != nil {
+				return row, err
+			}
+			it.cur = nil
+		}
+		if it.next >= it.parent.NumPartitions() {
+			return nil, nil
+		}
+		if err := it.tc.Err(); err != nil {
 			return nil, err
 		}
-		return vector.NewRowIter(br), nil
+		cur, err := it.parent.Compute(it.tc, it.next)
+		if err != nil {
+			return nil, fmt.Errorf("rdd: partition %d of rdd %d: %w", it.next, it.parent.ID(), err)
+		}
+		it.cur = cur
+		it.next++
 	}
-	return tc.Ctx.shuffles.OpenRowReader(r.dep.ShuffleID, p, tc)
 }
 
 // UnionRDD concatenates the partitions of several parents.

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"indexeddf/internal/sqltypes"
+	"indexeddf/internal/vector"
 )
 
 func intRows(n int) []sqltypes.Row {
@@ -15,6 +17,10 @@ func intRows(n int) []sqltypes.Row {
 		rows[i] = sqltypes.Row{sqltypes.NewInt64(int64(i))}
 	}
 	return rows
+}
+
+func intSchema() *sqltypes.Schema {
+	return sqltypes.NewSchema(sqltypes.Field{Name: "k", Type: sqltypes.Int64})
 }
 
 func rowInts(rows []sqltypes.Row) []int {
@@ -90,8 +96,7 @@ func TestIterRDDPipelining(t *testing.T) {
 func TestShuffleGroupsByKey(t *testing.T) {
 	c := NewContext(WithParallelism(2))
 	base := c.Parallelize(intRows(1000), 8)
-	part := &HashPartitioner{N: 5, Key: func(r sqltypes.Row) sqltypes.Value { return r[0] }}
-	sh := c.NewShuffledRDD(base, part)
+	sh := c.NewBatchShuffledRDD(base, intSchema(), []int{0}, 5)
 	parts, err := c.RunJob(sh)
 	if err != nil {
 		t.Fatal(err)
@@ -118,9 +123,8 @@ func TestShuffleChain(t *testing.T) {
 	// Two shuffles back to back exercise multi-stage scheduling.
 	c := NewContext()
 	base := c.Parallelize(intRows(200), 4)
-	p1 := &HashPartitioner{N: 3, Key: func(r sqltypes.Row) sqltypes.Value { return r[0] }}
-	s1 := c.NewShuffledRDD(base, p1)
-	s2 := c.NewShuffledRDD(s1, SinglePartitioner{})
+	s1 := c.NewBatchShuffledRDD(base, intSchema(), []int{0}, 3)
+	s2 := c.NewBatchShuffledRDD(s1, intSchema(), nil, 1)
 	rows, err := c.Collect(s2)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +161,7 @@ func TestComputeErrorPropagates(t *testing.T) {
 		t.Fatalf("error not propagated: %v", err)
 	}
 	// Error inside a shuffle map stage propagates too.
-	sh := c.NewShuffledRDD(bad, SinglePartitioner{})
+	sh := c.NewBatchShuffledRDD(bad, intSchema(), nil, 1)
 	if _, err := c.Collect(sh); err == nil || !errors.Is(err, boom) {
 		t.Fatalf("shuffle error not propagated: %v", err)
 	}
@@ -165,7 +169,7 @@ func TestComputeErrorPropagates(t *testing.T) {
 
 func TestShuffleFetchWithoutStageFails(t *testing.T) {
 	m := NewShuffleManager()
-	if _, err := m.OpenRowReader(42, 0, nil); err == nil {
+	if _, err := m.OpenBatchReader(42, 0, nil); err == nil {
 		t.Fatal("reading an unknown shuffle should fail")
 	}
 }
@@ -185,15 +189,100 @@ func TestShuffleDropAllowsRerun(t *testing.T) {
 	}
 }
 
-func TestHashPartitionerDeterminism(t *testing.T) {
-	p := &HashPartitioner{N: 7, Key: func(r sqltypes.Row) sqltypes.Value { return r[0] }}
+// TestHashColumnsRoutingDeterminism: the exchange's routing hash is
+// stable, lands in range, and matches the value hash the index
+// partitions by.
+func TestHashColumnsRoutingDeterminism(t *testing.T) {
+	b := vector.NewBatch(intSchema())
 	for i := 0; i < 100; i++ {
-		row := sqltypes.Row{sqltypes.NewInt64(int64(i))}
-		a := p.PartitionFor(row)
-		b := p.PartitionFor(row)
-		if a != b || a < 0 || a >= 7 {
-			t.Fatalf("partitioner unstable or out of range: %d %d", a, b)
+		if err := b.AppendRow(sqltypes.Row{sqltypes.NewInt64(int64(i))}); err != nil {
+			t.Fatal(err)
 		}
+	}
+	first := vector.HashColumns(b, []int{0}, nil)
+	second := vector.HashColumns(b, []int{0}, nil)
+	for i := range first {
+		a, c := int(first[i]%7), int(second[i]%7)
+		if a != c || a < 0 || a >= 7 {
+			t.Fatalf("routing unstable or out of range: %d %d", a, c)
+		}
+		if want := int(sqltypes.NewInt64(int64(i)).Hash64() % 7); a != want {
+			t.Fatalf("row %d routes to %d, value hash picks %d", i, a, want)
+		}
+	}
+}
+
+// TestGatherRDD pins the narrow gather: one partition holding the
+// parent's partitions in order, child errors surfacing, a limit above it
+// stopping before later partitions are computed, and cancellation
+// checked between partitions.
+func TestGatherRDD(t *testing.T) {
+	c := NewContext(WithParallelism(4))
+	g := c.NewGatherRDD(c.Parallelize(intRows(100), 7))
+	if g.NumPartitions() != 1 {
+		t.Fatalf("gather partitions = %d", g.NumPartitions())
+	}
+	rows, err := c.Collect(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 100 {
+		t.Fatalf("gathered %d rows, want 100", len(rows))
+	}
+	for i, r := range rows {
+		if r[0].Int64Val() != int64(i) {
+			t.Fatalf("row %d = %v: partition order lost", i, r)
+		}
+	}
+
+	boom := errors.New("boom")
+	bad := c.NewIterRDD(nil, 4, func(_ *TaskContext, p int, _ sqltypes.RowIter) (sqltypes.RowIter, error) {
+		if p == 2 {
+			return nil, boom
+		}
+		return sqltypes.NewSliceIter(intRows(3)), nil
+	})
+	if _, err := c.Collect(c.NewGatherRDD(bad)); !errors.Is(err, boom) {
+		t.Fatalf("child error not propagated: %v", err)
+	}
+
+	// counted builds an 8-partition parent of 10 rows each that counts the
+	// partitions it computes and runs hook after computing one.
+	counted := func(computed *atomic.Int64, hook func()) RDD {
+		return c.NewIterRDD(nil, 8, func(_ *TaskContext, _ int, _ sqltypes.RowIter) (sqltypes.RowIter, error) {
+			computed.Add(1)
+			hook()
+			return sqltypes.NewSliceIter(intRows(10)), nil
+		})
+	}
+	var computed atomic.Int64
+	limited := c.NewIterRDD(c.NewGatherRDD(counted(&computed, func() {})), 0,
+		func(_ *TaskContext, _ int, in sqltypes.RowIter) (sqltypes.RowIter, error) {
+			var out []sqltypes.Row
+			for len(out) < 5 {
+				r, err := in.Next()
+				if err != nil || r == nil {
+					return nil, err
+				}
+				out = append(out, r)
+			}
+			return sqltypes.NewSliceIter(out), nil
+		})
+	if rows, err := c.Collect(limited); err != nil || len(rows) != 5 {
+		t.Fatalf("limit over gather: %d rows, %v", len(rows), err)
+	}
+	if n := computed.Load(); n != 1 {
+		t.Fatalf("limit over gather computed %d partitions, want 1", n)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	computed.Store(0)
+	if _, err := c.CollectCtx(ctx, c.NewGatherRDD(counted(&computed, cancel))); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled gather: err = %v, want context.Canceled", err)
+	}
+	if n := computed.Load(); n != 1 {
+		t.Fatalf("cancelled gather computed %d partitions, want 1", n)
 	}
 }
 

@@ -17,9 +17,9 @@ func kvSchema() *sqltypes.Schema {
 	)
 }
 
-// TestBatchShuffleRoundTrip: the columnar exchange delivers exactly the
-// rows the row exchange delivers, co-partitioned identically (same hash),
-// including NULL keys.
+// TestBatchShuffleRoundTrip: the columnar exchange delivers every row
+// exactly once, in the reduce partition its key's value hash selects —
+// the index's partitioning — including NULL keys.
 func TestBatchShuffleRoundTrip(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	c := NewContext(WithParallelism(4))
@@ -32,20 +32,19 @@ func TestBatchShuffleRoundTrip(t *testing.T) {
 		rows[i] = sqltypes.Row{k, sqltypes.NewInt64(int64(i))}
 	}
 	const nReduce = 5
+	want := make([][]string, nReduce)
+	for _, r := range rows {
+		p := r[0].Hash64() % nReduce
+		want[p] = append(want[p], r.String())
+	}
 	parent := c.Parallelize(rows, 8)
 	batch := c.NewBatchShuffledRDD(parent, kvSchema(), []int{0}, nReduce)
 	bParts, err := c.RunJob(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := c.NewShuffledRDD(c.Parallelize(rows, 8),
-		&HashPartitioner{N: nReduce, Key: func(r sqltypes.Row) sqltypes.Value { return r[0] }})
-	rParts, err := c.RunJob(row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bParts) != nReduce || len(rParts) != nReduce {
-		t.Fatalf("partition counts %d / %d, want %d", len(bParts), len(rParts), nReduce)
+	if len(bParts) != nReduce {
+		t.Fatalf("partition count %d, want %d", len(bParts), nReduce)
 	}
 	total := 0
 	for p := 0; p < nReduce; p++ {
@@ -53,18 +52,14 @@ func TestBatchShuffleRoundTrip(t *testing.T) {
 		for i, r := range bParts[p] {
 			got[i] = r.String()
 		}
-		want := make([]string, len(rParts[p]))
-		for i, r := range rParts[p] {
-			want[i] = r.String()
-		}
 		sort.Strings(got)
-		sort.Strings(want)
-		if len(got) != len(want) {
-			t.Fatalf("reduce partition %d: batch %d rows, row %d", p, len(got), len(want))
+		sort.Strings(want[p])
+		if len(got) != len(want[p]) {
+			t.Fatalf("reduce partition %d: batch %d rows, want %d", p, len(got), len(want[p]))
 		}
 		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("reduce partition %d row %d: batch %s, row %s", p, i, got[i], want[i])
+			if got[i] != want[p][i] {
+				t.Fatalf("reduce partition %d row %d: batch %s, want %s", p, i, got[i], want[p][i])
 			}
 		}
 		total += len(got)
@@ -75,7 +70,7 @@ func TestBatchShuffleRoundTrip(t *testing.T) {
 }
 
 // TestBatchShuffleSinglePartitionOrder: the gather exchange (no keys)
-// preserves map-task order, matching the row gather used by sorts/limits.
+// preserves map-task order, so it returns the parent's rows in order.
 func TestBatchShuffleSinglePartitionOrder(t *testing.T) {
 	c := NewContext(WithParallelism(2))
 	rows := make([]sqltypes.Row, 500)
@@ -87,16 +82,12 @@ func TestBatchShuffleSinglePartitionOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.Collect(c.NewShuffledRDD(c.Parallelize(rows, 4), SinglePartitioner{}))
-	if err != nil {
-		t.Fatal(err)
+	if len(gathered) != len(rows) {
+		t.Fatalf("gather returned %d rows, want %d", len(gathered), len(rows))
 	}
-	if len(gathered) != len(want) {
-		t.Fatalf("gather returned %d rows, want %d", len(gathered), len(want))
-	}
-	for i := range want {
-		if gathered[i].String() != want[i].String() {
-			t.Fatalf("gather row %d: %s, want %s", i, gathered[i], want[i])
+	for i := range rows {
+		if gathered[i].String() != rows[i].String() {
+			t.Fatalf("gather row %d: %s, want %s", i, gathered[i], rows[i])
 		}
 	}
 }
@@ -184,13 +175,14 @@ func fullReducerCount(r, nMaps, perMap, nReduce int) int {
 	return n
 }
 
-// TestBatchShuffleFetchWithoutStageFails mirrors the row-path guard.
+// TestBatchShuffleFetchWithoutStageFails: the per-run readers refuse a
+// shuffle whose map stage never ran, like OpenBatchReader.
 func TestBatchShuffleFetchWithoutStageFails(t *testing.T) {
 	m := NewShuffleManager()
 	if _, err := m.OpenBatchReader(99, 0, nil); err == nil {
 		t.Fatal("expected an error for a shuffle with no map outputs")
 	}
-	if _, err := m.OpenRowReader(99, 0, nil); err == nil {
+	if _, err := m.OpenBatchRunReaders(99, 2, 0, nil); err == nil {
 		t.Fatal("expected an error for a shuffle with no map outputs")
 	}
 }

@@ -282,10 +282,10 @@ func (v Value) Hash64() uint64 {
 }
 
 // The payload hash primitives below are Hash64 broken out by lane so the
-// vectorized exchange can hash column payloads directly (no Value boxing)
-// while routing rows to exactly the partitions the row-at-a-time
-// HashPartitioner picks. Any change here changes partition layouts for
-// both engines together.
+// exchange can hash column payloads directly (no Value boxing) while
+// routing each row to exactly the partition the Indexed DataFrame stores
+// its key in (Hash64 of the normalized key). Any change here changes the
+// exchange's and the index's partition layouts together.
 
 // HashSeed is the hash state every value hash starts from (the FNV-1a
 // offset basis); CombineHash folds per-column hashes into it for
@@ -293,7 +293,7 @@ func (v Value) Hash64() uint64 {
 const HashSeed uint64 = fnvOffset64
 
 // CombineHash folds x into the running hash h byte-by-byte (FNV-1a) —
-// the composite-key combiner shared by the row and columnar exchanges.
+// the composite-key combiner of the exchange's routing hash.
 func CombineHash(h, x uint64) uint64 { return fnvUint64(h, x) }
 
 // RehashSalted remixes a routing hash with a per-level salt through a

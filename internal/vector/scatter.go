@@ -105,9 +105,10 @@ func appendGather(dst, src *Batch, sel []int) {
 // HashColumns writes the exchange routing hash of each row's key columns
 // into hashes (resized to b.Len()) and returns it. Single-column keys hash
 // the value directly; composite keys fold the per-column hashes with
-// sqltypes.CombineHash — bit-for-bit the scheme the row-engine
-// HashPartitioner uses, so both exchanges produce identical partition
-// layouts (the indexed-join co-partitioning depends on this).
+// sqltypes.CombineHash. A single key routes bit-for-bit like the index's
+// own partitioning (Hash64 of the normalized key, so integral floats hash
+// like the equal integer); the indexed-join co-partitioning depends on
+// this.
 func HashColumns(b *Batch, ords []int, hashes []uint64) []uint64 {
 	n := b.Len()
 	if cap(hashes) < n {

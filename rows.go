@@ -362,9 +362,9 @@ func (s *Session) queryExecMeta(ctx context.Context, exec physical.Exec, meta qu
 		limit int64 = -1
 	)
 	if lim, ok := exec.(*physical.LimitExec); ok && !meta.force {
-		// A root LIMIT streams its local-limit stage and truncates at the
-		// cursor, early-terminating the remaining partition tasks once n
-		// rows are delivered instead of gathering every partition first.
+		// A root LIMIT streams a per-partition limit and truncates at the
+		// cursor: partition tasks run in parallel ahead of it, and the
+		// remaining ones stop once n rows are delivered.
 		// EXPLAIN ANALYZE (meta.force) takes the full global-limit plan
 		// instead: truncating at the cursor abandons operator iterators
 		// mid-stream, losing their buffered counts.

@@ -207,6 +207,45 @@ func TestSpillJoinEquivalence(t *testing.T) {
 	wantSpilled(t, qs, limit)
 }
 
+// TestSpillRowExchangeOuterJoin: an outer join runs only on row
+// operators, and its shuffled sides are over budget. Its exchanges spill
+// like any other, and the count matches an unbudgeted session.
+func TestSpillRowExchangeOuterJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const limit = 256 << 10
+	memSess, ocSess := newSpillPair(t, "l", spillSchema(), spillRows(rng, 60_000, 500), limit,
+		Config{TablePartitions: 8, ShufflePartitions: 4, Parallelism: 2, BroadcastThreshold: 1})
+	right := make([]Row, 2_000)
+	for i := range right {
+		right[i] = R(int64(i%1_000), nil, fmt.Sprintf("r-%06d", i))
+	}
+	for _, s := range []*Session{memSess, ocSess} {
+		if _, err := s.CreateTable("r", spillSchema(), right); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	q := "SELECT COUNT(*) FROM l LEFT JOIN r ON l.val = r.id"
+	df, err := ocSess.SQL("EXPLAIN " + q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := df.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := fmt.Sprint(plan); !strings.Contains(s, "ShuffleHashJoin LeftOuter") {
+		t.Fatalf("plan has no row shuffle join:\n%s", s)
+	}
+	want, _ := collectStats(t, memSess, q)
+	got, qs := collectStats(t, ocSess, q)
+	wantSameRows(t, got, want, false)
+	if n := want[0][0].Int64Val(); n <= 60_000 {
+		t.Fatalf("count = %d; the fixture should produce duplicate matches", n)
+	}
+	wantSpilled(t, qs, limit)
+}
+
 // TestSpillEmptyPartitions: tiny tables over many partitions (most empty)
 // behave identically with spilling configured — the degenerate end of the
 // run-file format (zero-row runs, empty batches).
